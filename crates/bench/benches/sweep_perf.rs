@@ -11,14 +11,15 @@ use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket};
 use aws_stack::{FunctionRuntime, KvStore, MetricsService};
 use sim_kernel::SimTime;
 use spotverse::{
-    resolve_jobs, run_matrix, run_matrix_orchestrated, MarketCache, Monitor, OrchestratorConfig,
-    SnapshotMemo, SpotVerseConfig, SpotVerseStrategy, Strategy, SweepCell,
+    resolve_jobs, run_fleet_matrix, run_matrix_orchestrated, FleetConfig, FleetSweepCell,
+    MarketCache, Monitor, OrchestratorConfig, SnapshotMemo, SpotVerseConfig, SpotVerseStrategy,
+    Strategy,
 };
 use spotverse_bench::{bench_config, bench_fleet, header, section, BENCH_SEED};
 
 use bio_workloads::WorkloadKind;
 
-fn strategy_for(cell: &SweepCell) -> Box<dyn Strategy> {
+fn strategy_for(cell: &FleetSweepCell) -> Box<dyn Strategy> {
     match cell.strategy.as_str() {
         "single-region" => Box::new(spotverse::SingleRegionStrategy::new(Region::CaCentral1)),
         "skypilot" => Box::new(spotverse::SkyPilotStrategy::new()),
@@ -68,20 +69,20 @@ fn main() {
     // Fleet sized so per-cell simulation dominates the one shared market
     // build; speedup then tracks the worker count.
     section("chaos matrix throughput (3 strategies x 9 cells, one seed)");
-    let base = bench_config(
+    let base = FleetConfig::from_experiment(&bench_config(
         BENCH_SEED,
         InstanceType::M5Xlarge,
         bench_fleet(WorkloadKind::GenomeReconstruction, 240, BENCH_SEED),
         1,
-    );
+    ));
     let mut cells = Vec::new();
     for name in ["single-region", "skypilot", "spotverse"] {
-        cells.push(SweepCell::new(format!("{name}/fault-free"), name, base.clone()));
+        cells.push(FleetSweepCell::new(format!("{name}/fault-free"), name, base.clone()));
         for scenario in chaos::library() {
             let mut config = base.clone();
             let label = format!("{name}/{}", scenario.name());
             config.chaos = Some(scenario);
-            cells.push(SweepCell::new(label, name, config));
+            cells.push(FleetSweepCell::new(label, name, config));
         }
     }
     let n_cells = cells.len();
@@ -89,13 +90,13 @@ fn main() {
     // Fresh cache per run so every run pays exactly one market build.
     let serial_matrix = best_of(2, || {
         let cache = MarketCache::new();
-        std::hint::black_box(run_matrix(&cells, 1, &cache, strategy_for));
+        std::hint::black_box(run_fleet_matrix(&cells, 1, &cache, strategy_for));
     });
     let mut hits = 0;
     let mut misses = 0;
     let parallel_matrix = best_of(2, || {
         let cache = MarketCache::new();
-        std::hint::black_box(run_matrix(&cells, jobs, &cache, strategy_for));
+        std::hint::black_box(run_fleet_matrix(&cells, jobs, &cache, strategy_for));
         hits = cache.hits();
         misses = cache.misses();
     });
@@ -158,12 +159,12 @@ fn main() {
     // plus the lease/dispatch/persist machinery; the delta is pure
     // orchestration overhead (DESIGN.md §14).
     section("orchestrated sweep overhead (6 cells, fault-free)");
-    let orch_cells: Vec<SweepCell> = (0..6)
-        .map(|i| SweepCell::new(format!("cell-{i}"), "spotverse", base.clone()))
+    let orch_cells: Vec<FleetSweepCell> = (0..6)
+        .map(|i| FleetSweepCell::new(format!("cell-{i}"), "spotverse", base.clone()))
         .collect();
     let orch_inprocess = best_of(2, || {
         let cache = MarketCache::new();
-        std::hint::black_box(run_matrix(&orch_cells, 1, &cache, strategy_for));
+        std::hint::black_box(run_fleet_matrix(&orch_cells, 1, &cache, strategy_for));
     });
     let orch_config = OrchestratorConfig::default();
     let orchestrated = best_of(2, || {

@@ -8,17 +8,17 @@ use std::sync::Arc;
 use bio_workloads::{paper_fleet, WorkloadKind};
 use chaos::ChaosScenario;
 use cloud_market::history::{archive_to_csv, collect_archive};
-use cloud_market::{InstanceType, MarketRegime, Region, SpotMarket};
+use cloud_market::{InstanceType, MarketConfig, MarketRegime, Region, SpotMarket};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    merged_fleet_trace_jsonl, merged_trace_jsonl, render_tournament, resolve_jobs,
-    run_experiment_on, run_fleet_matrix, run_matrix, run_matrix_orchestrated, run_tournament,
-    summary_line, trace_to_jsonl, BidPriceAwareStrategy, CellOutcome, CheckpointAdaptiveStrategy,
-    ExperimentConfig, ExperimentReport, FleetConfig, FleetReport, FleetSweepCell, LoadProfile,
-    MarketCache, Monitor, NaiveMultiRegionStrategy, OnDemandStrategy, OrchestratorConfig,
-    SingleRegionStrategy, SkyPilotStrategy, SpotVerseConfig, render_analysis,
-    render_analysis_json, ReplayCursor, SpotVerseStrategy, Strategy, SweepCell, TimeWindow,
-    TournamentChaos, TournamentConfig, TraceConfig, WorkloadPhase,
+    merged_fleet_trace_jsonl, render_tournament, resolve_jobs, run_experiment_on,
+    run_fleet_matrix, run_matrix_orchestrated, run_tournament, summary_line, trace_to_jsonl,
+    BidPriceAwareStrategy, CheckpointAdaptiveStrategy, ExperimentConfig, ExperimentReport,
+    FleetCellOutcome, FleetConfig, FleetReport, FleetSweepCell, LoadProfile, MarketCache, Monitor,
+    NaiveMultiRegionStrategy, OnDemandStrategy, OrchestratorConfig, SingleRegionStrategy,
+    SkyPilotStrategy, SpotVerseConfig, render_analysis, render_analysis_json, ReplayCursor,
+    SpotVerseStrategy, Strategy, TimeWindow, TournamentChaos, TournamentConfig, TraceConfig,
+    WorkloadPhase,
 };
 
 use crate::args::{ArgError, ParsedArgs};
@@ -227,6 +227,19 @@ fn parse_regime(args: &ParsedArgs) -> Result<MarketRegime, CliError> {
         .map_err(CliError::BadInput)
 }
 
+/// `--start-day`: the run's start instant, which must fall inside the
+/// market's precomputed horizon — a start past it would fail every cell.
+fn parse_start_day(args: &ParsedArgs) -> Result<SimTime, CliError> {
+    let day = args.u64_or("start-day", 1)?;
+    let horizon = MarketConfig::default().horizon_days;
+    if day >= u64::from(horizon) {
+        return Err(CliError::BadInput(format!(
+            "--start-day {day} is past the {horizon}-day market horizon (use a day below {horizon})"
+        )));
+    }
+    Ok(SimTime::from_days(day))
+}
+
 fn common_config(args: &ParsedArgs) -> Result<CommonConfig, CliError> {
     let seed = args.u64_or("seed", 2024)?;
     let instances = args.u64_or("instances", 20)? as usize;
@@ -235,10 +248,10 @@ fn common_config(args: &ParsedArgs) -> Result<CommonConfig, CliError> {
     }
     let instance_type = parse_instance_type(args.str_or("instance-type", "m5.xlarge"))?;
     let kind = parse_workload(args.str_or("workload", "genome"))?;
-    let start_day = args.u64_or("start-day", 1)?;
+    let start = parse_start_day(args)?;
     let rng = SimRng::seed_from_u64(seed);
     let mut config = ExperimentConfig::new(seed, instance_type, paper_fleet(kind, instances, &rng));
-    config.start = SimTime::from_days(start_day);
+    config.start = start;
     config.market = config.market.with_regime(parse_regime(args)?);
     Ok(CommonConfig {
         config,
@@ -367,7 +380,7 @@ pub fn fleet(args: &ParsedArgs) -> Result<String, CliError> {
     }
     let instance_type = parse_instance_type(args.str_or("instance-type", "m5.xlarge"))?;
     let kind = parse_workload(args.str_or("workload", "genome"))?;
-    let start_day = args.u64_or("start-day", 1)?;
+    let start = parse_start_day(args)?;
     let spacing_mins = args.u64_or("spacing-mins", 60)?;
     let deadline_days = args.u64_or("deadline-days", 30)?;
     if deadline_days == 0 {
@@ -437,7 +450,7 @@ pub fn fleet(args: &ParsedArgs) -> Result<String, CliError> {
             )
         }
     };
-    config.start = SimTime::from_days(start_day);
+    config.start = start;
     config.max_runtime = SimDuration::from_days(deadline_days);
     config.region_capacity = capacity;
     config.market = config.market.with_regime(parse_regime(args)?);
@@ -477,13 +490,14 @@ pub fn compare(args: &ParsedArgs) -> Result<String, CliError> {
     let region = parse_region(args.str_or("region", "ca-central-1"))?;
     let jobs_flag = parse_jobs(args)?;
     let names = ["single-region", "naive-multi", "skypilot", "spotverse", "on-demand"];
-    let cells: Vec<SweepCell> = names
+    let config = FleetConfig::from_experiment(&common.config);
+    let cells: Vec<FleetSweepCell> = names
         .iter()
-        .map(|name| SweepCell::new(*name, *name, common.config.clone()))
+        .map(|name| FleetSweepCell::new(*name, *name, config.clone()))
         .collect();
     let cache = MarketCache::new();
     let jobs = resolve_jobs(jobs_flag, cells.len());
-    let outcomes = run_matrix(&cells, jobs, &cache, |cell| {
+    let outcomes = run_fleet_matrix(&cells, jobs, &cache, |cell| {
         build_strategy(&cell.strategy, common.instance_type, threshold, region)
             .expect("compare strategy names are from the fixed list")
     });
@@ -491,7 +505,7 @@ pub fn compare(args: &ParsedArgs) -> Result<String, CliError> {
     for outcome in &outcomes {
         match &outcome.result {
             Ok(report) => {
-                out.push_str(&summary_line(report));
+                out.push_str(&summary_line(&report.aggregate));
                 out.push('\n');
             }
             Err(e) => out.push_str(&format!("{:<20} FAILED: {e}\n", outcome.strategy)),
@@ -515,7 +529,7 @@ pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
     }
     let instance_type = parse_instance_type(args.str_or("instance-type", "m5.xlarge"))?;
     let kind = parse_workload(args.str_or("workload", "genome"))?;
-    let start_day = args.u64_or("start-day", 1)?;
+    let start = parse_start_day(args)?;
     let threshold = args.u8_or("threshold", 6)?;
     let region = parse_region(args.str_or("region", "ca-central-1"))?;
     let seeds = args.u64_or("seeds", 1)?;
@@ -561,31 +575,32 @@ pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
         ));
     }
     let regime = parse_regime(args)?;
-    let mut cells: Vec<SweepCell> = Vec::with_capacity(strategies.len() * seeds as usize);
+    let mut cells: Vec<FleetSweepCell> = Vec::with_capacity(strategies.len() * seeds as usize);
     for name in &strategies {
         for s in 0..seeds {
             let seed = base_seed + s;
             let rng = SimRng::seed_from_u64(seed);
             let mut config =
                 ExperimentConfig::new(seed, instance_type, paper_fleet(kind, instances, &rng));
-            config.start = SimTime::from_days(start_day);
+            config.start = start;
             config.market = config.market.with_regime(regime);
             if output == "trace" {
                 config.trace = TraceConfig::enabled();
             }
-            cells.push(SweepCell::new(format!("{name}/s{seed}"), *name, config));
+            let config = FleetConfig::from_experiment(&config);
+            cells.push(FleetSweepCell::new(format!("{name}/s{seed}"), *name, config));
         }
     }
     let cache = MarketCache::new();
-    let strategy_for = |cell: &SweepCell| {
+    let strategy_for = |cell: &FleetSweepCell| {
         build_strategy(&cell.strategy, instance_type, threshold, region)
             .expect("sweep strategy names validated before the sweep")
     };
     if !orchestrated {
         let jobs = resolve_jobs(parse_jobs(args)?, cells.len());
-        let outcomes = run_matrix(&cells, jobs, &cache, strategy_for);
+        let outcomes = run_fleet_matrix(&cells, jobs, &cache, strategy_for);
         return Ok(match output {
-            "trace" => merged_trace_jsonl(&outcomes),
+            "trace" => merged_fleet_trace_jsonl(&outcomes),
             _ => render_sweep_cells(&outcomes),
         });
     }
@@ -606,7 +621,7 @@ pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
     };
     let report = run_matrix_orchestrated(&cells, &orch_config, &cache, strategy_for);
     if output == "trace" {
-        return Ok(merged_trace_jsonl(&report.outcomes));
+        return Ok(merged_fleet_trace_jsonl(&report.outcomes));
     }
     let mut out = render_sweep_cells(&report.outcomes);
     let s = &report.stats;
@@ -650,12 +665,12 @@ pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// Cell rows shared by both sweep modes: a summary line per successful
 /// cell, a FAILED line per failed (e.g. dead-lettered) cell.
-fn render_sweep_cells(outcomes: &[CellOutcome]) -> String {
+fn render_sweep_cells(outcomes: &[FleetCellOutcome]) -> String {
     let mut out = String::new();
     for outcome in outcomes {
         match &outcome.result {
             Ok(report) => {
-                out.push_str(&summary_line(report));
+                out.push_str(&summary_line(&report.aggregate));
                 out.push('\n');
             }
             Err(e) => out.push_str(&format!("{:<20} FAILED: {e}\n", outcome.label)),
@@ -667,10 +682,15 @@ fn render_sweep_cells(outcomes: &[CellOutcome]) -> String {
 /// One row of the chaos table. A failed cell renders as a FAILED line with
 /// the captured panic/error message; deltas print as `-` when there is no
 /// fault-free baseline to compare against.
-fn chaos_row(label: &str, outcome: &CellOutcome, baseline: Option<&ExperimentReport>) -> String {
+fn chaos_row(
+    label: &str,
+    outcome: &FleetCellOutcome,
+    baseline: Option<&ExperimentReport>,
+) -> String {
     match &outcome.result {
         Err(e) => format!("{:<14} {:<19} FAILED: {e}\n", outcome.strategy, label),
-        Ok(r) => {
+        Ok(report) => {
+            let r = &report.aggregate;
             let (added_makespan, added_cost) = match baseline {
                 Some(b) => (
                     format!("{:>+11.1}h", r.makespan.as_hours_f64() - b.makespan.as_hours_f64()),
@@ -730,17 +750,14 @@ pub fn chaos_matrix(args: &ParsedArgs) -> Result<String, CliError> {
     // by one cell per scenario. All cells share one cached market — chaos
     // faults overlay on the read path and never mutate the base market.
     let group = 1 + scenarios.len();
-    let mut cells: Vec<SweepCell> = Vec::with_capacity(strategies.len() * group);
+    let base = FleetConfig::from_experiment(&common.config);
+    let mut cells: Vec<FleetSweepCell> = Vec::with_capacity(strategies.len() * group);
     for name in &strategies {
-        cells.push(SweepCell::new(
-            format!("{name}/fault-free"),
-            *name,
-            common.config.clone(),
-        ));
+        cells.push(FleetSweepCell::new(format!("{name}/fault-free"), *name, base.clone()));
         for scenario in &scenarios {
-            let mut config = common.config.clone();
+            let mut config = base.clone();
             config.chaos = Some(scenario.clone());
-            cells.push(SweepCell::new(
+            cells.push(FleetSweepCell::new(
                 format!("{name}/{}", scenario.name()),
                 *name,
                 config,
@@ -749,7 +766,7 @@ pub fn chaos_matrix(args: &ParsedArgs) -> Result<String, CliError> {
     }
     let cache = MarketCache::new();
     let jobs = resolve_jobs(jobs_flag, cells.len());
-    let outcomes = run_matrix(&cells, jobs, &cache, |cell| {
+    let outcomes = run_fleet_matrix(&cells, jobs, &cache, |cell| {
         build_strategy(&cell.strategy, common.instance_type, threshold, region)
             .expect("chaos strategy names validated before the sweep")
     });
@@ -771,7 +788,7 @@ pub fn chaos_matrix(args: &ParsedArgs) -> Result<String, CliError> {
         "degr-h",
     );
     for chunk in outcomes.chunks(group) {
-        let baseline = chunk[0].report();
+        let baseline = chunk[0].report().map(|r| &r.aggregate);
         out.push_str(&chaos_row("(fault-free)", &chunk[0], None));
         for (scenario, outcome) in scenarios.iter().zip(&chunk[1..]) {
             out.push_str(&chaos_row(scenario.name(), outcome, baseline));
@@ -797,7 +814,7 @@ pub fn tournament(args: &ParsedArgs) -> Result<String, CliError> {
     }
     let instance_type = parse_instance_type(args.str_or("instance-type", "m5.xlarge"))?;
     let kind = parse_workload(args.str_or("workload", "genome"))?;
-    let start_day = args.u64_or("start-day", 1)?;
+    let start = parse_start_day(args)?;
     let spacing_mins = args.u64_or("spacing-mins", 60)?;
     let deadline_days = args.u64_or("deadline-days", 30)?;
     if deadline_days == 0 {
@@ -851,7 +868,7 @@ pub fn tournament(args: &ParsedArgs) -> Result<String, CliError> {
         paper_fleet(kind, instances, &rng),
         SimDuration::from_mins(spacing_mins),
     );
-    fleet.start = SimTime::from_days(start_day);
+    fleet.start = start;
     fleet.max_runtime = SimDuration::from_days(deadline_days);
 
     let mut config = TournamentConfig::new(
@@ -1410,6 +1427,22 @@ mod tests {
         assert!(err.to_string().contains("meteor"));
         let err = run(["sweep", "--seeds", "0"]).unwrap_err();
         assert!(err.to_string().contains("--seeds"));
+    }
+
+    #[test]
+    fn start_day_past_the_market_horizon_is_rejected() {
+        for command in ["simulate", "trace", "fleet", "compare", "sweep", "chaos", "tournament"] {
+            let err = run([command, "--instances", "2", "--start-day", "400"]).unwrap_err();
+            assert!(
+                matches!(err, CliError::BadInput(_)),
+                "{command}: expected BadInput, got {err:?}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains("--start-day 400"), "{command}: {msg}");
+            assert!(msg.contains("210-day market horizon"), "{command}: {msg}");
+            // The horizon's first day out is rejected too.
+            assert!(run([command, "--start-day", "210"]).is_err(), "{command}: day 210");
+        }
     }
 
     #[test]

@@ -108,8 +108,8 @@ pub use repetitions::{
     RepetitionMarket,
 };
 pub use sweep::{
-    merged_fleet_trace_jsonl, merged_trace_jsonl, resolve_jobs, run_fleet_matrix, run_matrix,
-    CellOutcome, FleetCellOutcome, FleetSweepCell, MarketCache, SweepCell, SweepOutcome, JOBS_ENV,
+    merged_fleet_trace_jsonl, resolve_jobs, run_fleet_matrix, FleetCellOutcome, FleetSweepCell,
+    MarketCache, JOBS_ENV,
 };
 pub use tournament::{
     render_tournament, run_tournament, RegimeStanding, TournamentChaos, TournamentConfig,

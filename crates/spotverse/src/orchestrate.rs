@@ -1,7 +1,7 @@
 //! Distributed sweep orchestration on the simulated serverless substrate.
 //!
-//! [`run_matrix_orchestrated`] re-hosts [`crate::sweep::run_matrix`] as a
-//! parent/child shard fan-out over `aws-stack` (ROADMAP item 3, paper §4:
+//! [`run_matrix_orchestrated`] re-hosts [`crate::sweep::run_fleet_matrix`]
+//! as a parent/child shard fan-out over `aws-stack` (ROADMAP item 3, paper §4:
 //! the real SpotVerse control plane deploys on Lambda). The parent shards
 //! the cell matrix and dispatches each shard as a function invocation over
 //! the event bus; shard workers claim a **lease** in the KV store with a
@@ -29,8 +29,10 @@
 //!
 //! All of it runs single-threaded over a [`sim_kernel::EventQueue`], so a
 //! given matrix + config is bit-reproducible, chaos included. Fault-free
-//! runs produce outcomes byte-identical to `run_matrix` because shard
-//! workers execute cells through the exact same code path.
+//! runs produce outcomes byte-identical to `run_fleet_matrix` because
+//! shard workers execute cells through the exact same code path — so any
+//! sweep cell (a classic experiment, a staggered or capacity-capped
+//! fleet, a tournament cell) can be orchestrated.
 
 use aws_stack::{
     AttrValue, BusEvent, EventBus, FunctionConfig, FunctionRuntime, Item, KvError, KvStore,
@@ -42,7 +44,7 @@ use cloud_market::{Region, Usd};
 use sim_kernel::{EventQueue, SimDuration, SimTime};
 
 use crate::strategy::Strategy;
-use crate::sweep::{run_cell, CellOutcome, MarketCache, SweepCell, SweepOutcome};
+use crate::sweep::{run_cell, FleetCellOutcome, FleetSweepCell, MarketCache};
 use crate::trace::{
     append_trace_jsonl, push_json_str, RunTrace, TraceConfig, TraceEvent, Tracer,
 };
@@ -176,14 +178,14 @@ pub struct OrchestrationStats {
 #[derive(Debug, Clone)]
 pub struct OrchestratedSweepReport {
     /// One outcome per input cell, in input order.
-    pub outcomes: Vec<CellOutcome>,
+    pub outcomes: Vec<FleetCellOutcome>,
     /// Shards that exhausted their attempts.
     pub dead_letters: Vec<DeadLetter>,
     /// Orchestration telemetry.
     pub stats: OrchestrationStats,
     /// Orchestration events (shard dispatch/lease/redrive/dead-letter),
     /// when tracing is enabled. Separate from the per-cell run traces,
-    /// which live inside each [`CellOutcome`]'s report.
+    /// which live inside each [`FleetCellOutcome`]'s report.
     pub trace: Option<RunTrace>,
 }
 
@@ -219,7 +221,7 @@ struct Shard {
     cells: std::ops::Range<usize>,
     phase: ShardPhase,
     history: Vec<AttemptRecord>,
-    outcomes: Option<Vec<CellOutcome>>,
+    outcomes: Option<Vec<FleetCellOutcome>>,
     recorded: bool,
 }
 
@@ -236,21 +238,21 @@ struct Execution {
 
 /// Runs `cells` through the distributed orchestrator. Fault-free (no
 /// `chaos` in the config) the returned outcomes are byte-identical to
-/// [`crate::sweep::run_matrix`] over the same cells and cache.
+/// [`crate::sweep::run_fleet_matrix`] over the same cells and cache.
 pub fn run_matrix_orchestrated<F>(
-    cells: &[SweepCell],
+    cells: &[FleetSweepCell],
     config: &OrchestratorConfig,
     cache: &MarketCache,
     strategy_for: F,
 ) -> OrchestratedSweepReport
 where
-    F: Fn(&SweepCell) -> Box<dyn Strategy> + Sync,
+    F: Fn(&FleetSweepCell) -> Box<dyn Strategy> + Sync,
 {
     Orchestrator::new(cells, config).run(cache, &strategy_for)
 }
 
 struct Orchestrator<'a> {
-    cells: &'a [SweepCell],
+    cells: &'a [FleetSweepCell],
     config: &'a OrchestratorConfig,
     kv: KvStore,
     store: ObjectStore,
@@ -270,7 +272,7 @@ struct Orchestrator<'a> {
 }
 
 impl<'a> Orchestrator<'a> {
-    fn new(cells: &'a [SweepCell], config: &'a OrchestratorConfig) -> Self {
+    fn new(cells: &'a [FleetSweepCell], config: &'a OrchestratorConfig) -> Self {
         let mut kv = KvStore::new();
         let mut store = ObjectStore::new();
         let mut bus = EventBus::new();
@@ -335,7 +337,7 @@ impl<'a> Orchestrator<'a> {
 
     fn run<F>(mut self, cache: &MarketCache, strategy_for: &F) -> OrchestratedSweepReport
     where
-        F: Fn(&SweepCell) -> Box<dyn Strategy> + Sync,
+        F: Fn(&FleetSweepCell) -> Box<dyn Strategy> + Sync,
     {
         for shard in 0..self.shards.len() {
             self.queue.schedule(SimTime::ZERO, OrchEvent::Dispatch { shard, attempt: 1 });
@@ -491,12 +493,12 @@ impl<'a> Orchestrator<'a> {
     }
 
     /// The worker finishes: re-check idempotency, execute the cells
-    /// through the same path as `run_matrix`, persist the payload, and
+    /// through the same path as `run_fleet_matrix`, persist the payload, and
     /// promote the outcomes. A failed persist leaves the lease to expire
     /// so supervision re-drives the shard.
     fn worker_finish<F>(&mut self, exec: u64, now: SimTime, cache: &MarketCache, strategy_for: &F)
     where
-        F: Fn(&SweepCell) -> Box<dyn Strategy> + Sync,
+        F: Fn(&FleetSweepCell) -> Box<dyn Strategy> + Sync,
     {
         let Some(e) = self.executions.remove(&exec) else { return };
         if e.fenced {
@@ -512,7 +514,7 @@ impl<'a> Orchestrator<'a> {
                 .record(now, TraceEvent::ShardCompleted { shard, attempt, duplicate: true });
             return;
         }
-        let outcomes: Vec<CellOutcome> = self.shards[shard]
+        let outcomes: Vec<FleetCellOutcome> = self.shards[shard]
             .cells
             .clone()
             .map(|i| run_cell(&self.cells[i], cache, strategy_for))
@@ -666,13 +668,8 @@ impl<'a> Orchestrator<'a> {
                         "shard {index} dead-lettered after {} attempts: {last}",
                         shard.history.len()
                     );
-                    for i in shard.cells.clone() {
-                        outcomes.push(SweepOutcome {
-                            label: self.cells[i].label.clone(),
-                            strategy: self.cells[i].strategy.clone(),
-                            retries: 0,
-                            result: Err(reason.clone()),
-                        });
+                    for cell in &self.cells[shard.cells.clone()] {
+                        outcomes.push(FleetCellOutcome::failed(cell, reason.clone()));
                     }
                     dead_letters.push(DeadLetter {
                         shard: index,
@@ -760,7 +757,7 @@ fn dead_letter_item(shard: usize, history: &[AttemptRecord]) -> Item {
 /// line per cell, then each cell's trace as JSONL. Pure function of the
 /// cell outcomes, so any two executions of the same shard produce
 /// byte-identical payloads.
-fn shard_payload(outcomes: &[CellOutcome]) -> String {
+fn shard_payload(outcomes: &[FleetCellOutcome]) -> String {
     let mut out = String::new();
     for o in outcomes {
         out.push_str("{\"label\":");
@@ -771,6 +768,7 @@ fn shard_payload(outcomes: &[CellOutcome]) -> String {
         let _ = write!(out, ",\"retries\":{}", o.retries);
         match &o.result {
             Ok(report) => {
+                let report = &report.aggregate;
                 let _ = write!(
                     out,
                     ",\"ok\":true,\"completed\":{},\"workloads\":{},\"makespan_s\":{},\
@@ -790,10 +788,8 @@ fn shard_payload(outcomes: &[CellOutcome]) -> String {
         out.push_str("}\n");
     }
     for o in outcomes {
-        if let Ok(report) = &o.result {
-            if let Some(trace) = &report.trace {
-                append_trace_jsonl(&mut out, Some(&o.label), trace);
-            }
+        if let Some(trace) = o.report().and_then(|r| r.aggregate.trace.as_ref()) {
+            append_trace_jsonl(&mut out, Some(&o.label), trace);
         }
     }
     out
@@ -802,25 +798,29 @@ fn shard_payload(outcomes: &[CellOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_matrix;
-    use crate::{ExperimentConfig, SpotVerseConfig, SpotVerseStrategy};
+    use crate::sweep::run_fleet_matrix;
+    use crate::{ExperimentConfig, FleetConfig, SpotVerseConfig, SpotVerseStrategy};
     use bio_workloads::{paper_fleet, WorkloadKind};
     use cloud_market::InstanceType;
     use sim_kernel::SimRng;
 
-    fn small_cells(n: usize) -> Vec<SweepCell> {
+    fn small_cells(n: usize) -> Vec<FleetSweepCell> {
         (0..n)
             .map(|i| {
                 let seed = 2024 + i as u64;
                 let rng = SimRng::seed_from_u64(seed);
                 let fleet = paper_fleet(WorkloadKind::GenomeReconstruction, 2, &rng);
                 let config = ExperimentConfig::new(seed, InstanceType::M5Xlarge, fleet);
-                SweepCell::new(format!("cell-{i}"), "spotverse", config)
+                FleetSweepCell::new(
+                    format!("cell-{i}"),
+                    "spotverse",
+                    FleetConfig::from_experiment(&config),
+                )
             })
             .collect()
     }
 
-    fn strategy_for(_cell: &SweepCell) -> Box<dyn Strategy> {
+    fn strategy_for(_cell: &FleetSweepCell) -> Box<dyn Strategy> {
         Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
             InstanceType::M5Xlarge,
         )))
@@ -830,7 +830,7 @@ mod tests {
     fn fault_free_orchestration_matches_run_matrix() {
         let cells = small_cells(3);
         let cache = MarketCache::new();
-        let inprocess = run_matrix(&cells, 1, &cache, strategy_for);
+        let inprocess = run_fleet_matrix(&cells, 1, &cache, strategy_for);
         let config = OrchestratorConfig::default();
         let report = run_matrix_orchestrated(&cells, &config, &cache, strategy_for);
         assert_eq!(report.outcomes, inprocess);
@@ -849,16 +849,16 @@ mod tests {
         let config = OrchestratorConfig { shard_size: 2, ..OrchestratorConfig::default() };
         let report = run_matrix_orchestrated(&cells, &config, &cache, strategy_for);
         assert_eq!(report.stats.shards, 2);
-        assert_eq!(report.outcomes, run_matrix(&cells, 1, &cache, strategy_for));
+        assert_eq!(report.outcomes, run_fleet_matrix(&cells, 1, &cache, strategy_for));
     }
 
     #[test]
     fn shard_payload_is_deterministic_and_jsonl() {
         let cells = small_cells(1);
         let cache = MarketCache::new();
-        let outcomes = run_matrix(&cells, 1, &cache, strategy_for);
+        let outcomes = run_fleet_matrix(&cells, 1, &cache, strategy_for);
         let a = shard_payload(&outcomes);
-        let b = shard_payload(&run_matrix(&cells, 1, &cache, strategy_for));
+        let b = shard_payload(&run_fleet_matrix(&cells, 1, &cache, strategy_for));
         assert_eq!(a, b, "same cells, byte-identical payload");
         assert!(a.lines().next().unwrap().starts_with("{\"label\":\"cell-0\""));
     }

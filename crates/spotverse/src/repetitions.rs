@@ -2,17 +2,19 @@
 //!
 //! The paper repeats every experiment three times "to account for potential
 //! cloud performance and pricing variations" (§5.1.2). Here each repetition
-//! re-seeds both the market and the decision streams; repetitions execute
-//! as a one-column sweep through [`run_matrix`](crate::sweep::run_matrix),
-//! so they ride the bounded worker pool and share markets through a
-//! [`MarketCache`] whenever their configs coincide.
+//! re-seeds both the market and the decision streams; each repetition is
+//! a fleet-of-one sweep cell ([`FleetConfig::from_experiment`]) run
+//! through [`run_fleet_matrix`], so repetitions ride the bounded worker
+//! pool and share markets through a [`MarketCache`] whenever their
+//! configs coincide.
 
 use cloud_market::MarketConfig;
 use sim_kernel::RunningStats;
 
 use crate::experiment::{ExperimentConfig, ExperimentReport};
+use crate::fleet::FleetConfig;
 use crate::strategy::Strategy;
-use crate::sweep::{resolve_jobs, run_matrix, MarketCache, SweepCell};
+use crate::sweep::{resolve_jobs, run_fleet_matrix, FleetSweepCell, MarketCache};
 
 /// Aggregate statistics over repetitions.
 #[derive(Debug, Clone)]
@@ -126,16 +128,19 @@ where
         RepetitionMarket::Reseeded => repetition_config,
         RepetitionMarket::Shared => repetition_config_shared_market,
     };
-    let cells: Vec<SweepCell> = (0..reps)
-        .map(|r| SweepCell::new(format!("rep-{r}"), String::new(), per_rep(base, r)))
+    let cells: Vec<FleetSweepCell> = (0..reps)
+        .map(|r| {
+            let config = FleetConfig::from_experiment(&per_rep(base, r));
+            FleetSweepCell::new(format!("rep-{r}"), String::new(), config)
+        })
         .collect();
     let cache = MarketCache::new();
     let jobs = resolve_jobs(None, cells.len());
     // Aggregating over a partial repetition set would silently skew the
     // statistics, so a failed repetition is fatal here (into_report).
-    let runs = run_matrix(&cells, jobs, &cache, |_| strategy_factory())
+    let runs = run_fleet_matrix(&cells, jobs, &cache, |_| strategy_factory())
         .into_iter()
-        .map(crate::sweep::CellOutcome::into_report)
+        .map(|outcome| outcome.into_report().aggregate)
         .collect();
     AggregateReport::from_runs(runs)
 }

@@ -1,19 +1,24 @@
 //! The parallel sweep engine: deterministic concurrent execution of
-//! (strategy × scenario × repetition) experiment matrices.
+//! (strategy × scenario × repetition) cell matrices.
 //!
 //! Every table and figure in the paper's evaluation is a *sweep* — the
 //! same fleet run cell-by-cell under varying strategies, fault scenarios,
-//! or repetition seeds. Cells share nothing mutable, so they parallelize
-//! perfectly; what they *can* share is the market: building a 12-region
-//! precomputed trajectory dominates small-cell runtime, and every cell at
-//! the same [`MarketConfig`] observes the identical market by
-//! construction. The engine therefore couples a bounded worker pool
-//! ([`run_matrix`]) with a config-keyed [`MarketCache`] handing out
-//! `Arc<SpotMarket>` clones, so a whole matrix at one seed performs
-//! exactly one market construction.
+//! or repetition seeds. There is one cell type, [`FleetSweepCell`]: a
+//! labelled [`FleetConfig`], so staggered, capacity-capped and generated
+//! fleets sweep exactly like a classic experiment, which is the fleet of
+//! one built by [`FleetConfig::from_experiment`].
 //!
-//! Determinism contract: the [`CellOutcome`] vector is in cell order and
-//! each cell is a pure function of its [`ExperimentConfig`] and strategy,
+//! Cells share nothing mutable, so they parallelize perfectly; what they
+//! *can* share is the market: building a 12-region precomputed
+//! trajectory dominates small-cell runtime, and every cell at the same
+//! [`MarketConfig`] observes the identical market by construction. The
+//! engine therefore couples a bounded worker pool ([`run_fleet_matrix`])
+//! with a config-keyed [`MarketCache`] handing out `Arc<SpotMarket>`
+//! clones, so a whole matrix at one seed performs exactly one market
+//! construction.
+//!
+//! Determinism contract: the [`FleetCellOutcome`] vector is in cell order
+//! and each cell is a pure function of its [`FleetConfig`] and strategy,
 //! so the output is bit-identical for any `jobs` value (covered by
 //! integration tests). Cells run under `catch_unwind` with one
 //! deterministic retry, so one panicking cell degrades to a structured
@@ -25,7 +30,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use cloud_market::{MarketConfig, SpotMarket};
 
-use crate::experiment::{run_experiment_on, ExperimentConfig, ExperimentReport};
 use crate::fleet::{run_fleet_on, FleetConfig, FleetReport};
 use crate::strategy::Strategy;
 
@@ -95,32 +99,6 @@ impl MarketCache {
     }
 }
 
-/// One cell of an experiment matrix.
-#[derive(Debug, Clone)]
-pub struct SweepCell {
-    /// Display label (e.g. `"spotverse/region_blackout"`).
-    pub label: String,
-    /// Strategy selector the cell's strategy factory keys on.
-    pub strategy: String,
-    /// The full experiment configuration, chaos scenario included.
-    pub config: ExperimentConfig,
-}
-
-impl SweepCell {
-    /// A cell running `strategy` under `config`, labelled `label`.
-    pub fn new(
-        label: impl Into<String>,
-        strategy: impl Into<String>,
-        config: ExperimentConfig,
-    ) -> Self {
-        SweepCell {
-            label: label.into(),
-            strategy: strategy.into(),
-            config,
-        }
-    }
-}
-
 /// Resolves the worker count for a sweep of `cells` cells: an explicit
 /// request (`--jobs`) wins, then the [`JOBS_ENV`] environment variable,
 /// then `min(cells, available_parallelism)`. Always at least 1.
@@ -144,239 +122,21 @@ fn resolve_jobs_from(explicit: Option<usize>, env: Option<usize>, cells: usize) 
         .unwrap_or_else(default)
 }
 
-/// The structured result of one matrix cell: either the report, or the
-/// cell's failure message after the deterministic retry was exhausted.
-/// One bad cell never poisons its matrix — neighbours complete and the
-/// caller decides how to surface the failure.
-///
-/// Generic over the report type: experiment matrices produce
-/// [`CellOutcome`] (= `SweepOutcome<ExperimentReport>`), fleet matrices
-/// produce [`FleetCellOutcome`] (= `SweepOutcome<FleetReport>`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepOutcome<R> {
-    /// The cell's display label.
-    pub label: String,
-    /// The cell's strategy selector.
-    pub strategy: String,
-    /// Retries taken after a panic (0 or 1 — each cell gets exactly one
-    /// deterministic retry).
-    pub retries: u32,
-    /// The report, or the panic message of the final failed attempt.
-    pub result: Result<R, String>,
-}
-
-/// The outcome of a classic experiment cell.
-pub type CellOutcome = SweepOutcome<ExperimentReport>;
-
-/// The outcome of a fleet cell.
-pub type FleetCellOutcome = SweepOutcome<FleetReport>;
-
-impl<R> SweepOutcome<R> {
-    /// Whether the cell produced a report.
-    pub fn is_ok(&self) -> bool {
-        self.result.is_ok()
-    }
-
-    /// Whether the cell failed once and then succeeded on its retry.
-    pub fn recovered(&self) -> bool {
-        self.retries > 0 && self.result.is_ok()
-    }
-
-    /// The report, if the cell succeeded.
-    pub fn report(&self) -> Option<&R> {
-        self.result.as_ref().ok()
-    }
-
-    /// Unwraps the report for callers that treat any cell failure as
-    /// fatal (e.g. repetition aggregation, where a missing cell would
-    /// silently skew the statistics).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the cell label and failure message if the cell failed.
-    pub fn into_report(self) -> R {
-        match self.result {
-            Ok(report) => report,
-            Err(e) => panic!("sweep cell {} failed: {e}", self.label),
-        }
-    }
-}
-
-/// Merges the traces of a sweep's outcomes into one canonical JSONL
-/// document: cells in matrix order, each cell's records prefixed with its
-/// label via the `"cell"` key. Failed cells and cells that ran with
-/// tracing disabled contribute nothing. Because [`run_matrix`] returns
-/// outcomes in cell order regardless of `jobs`, the merged document is
-/// byte-identical for any parallelism — the property the golden-trace
-/// suite pins down.
-pub fn merged_trace_jsonl(outcomes: &[CellOutcome]) -> String {
-    let mut out = String::new();
-    for outcome in outcomes {
-        if let Some(trace) = outcome.report().and_then(|r| r.trace.as_ref()) {
-            crate::trace::append_trace_jsonl(&mut out, Some(&outcome.label), trace);
-        }
-    }
-    out
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "cell panicked".to_owned()
-    }
-}
-
-/// Runs one cell body with panic isolation and exactly one deterministic
-/// retry. Cells are pure functions of their config, so the retry only
-/// rescues transient host-level failures; a deterministic panic fails
-/// identically twice and is reported as the cell's error.
-fn run_guarded<R>(label: &str, strategy: &str, body: impl Fn() -> R) -> SweepOutcome<R> {
-    let mut retries = 0;
-    let mut last_error = String::new();
-    for attempt in 0..2u32 {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&body)) {
-            Ok(report) => {
-                return SweepOutcome {
-                    label: label.to_owned(),
-                    strategy: strategy.to_owned(),
-                    retries,
-                    result: Ok(report),
-                }
-            }
-            Err(payload) => {
-                last_error = panic_message(payload);
-                if attempt == 0 {
-                    retries = 1;
-                }
-            }
-        }
-    }
-    SweepOutcome {
-        label: label.to_owned(),
-        strategy: strategy.to_owned(),
-        retries,
-        result: Err(last_error),
-    }
-}
-
-/// The bounded worker pool shared by every matrix flavour: items are
-/// claimed off an atomic counter and results filed into index-addressed
-/// slots, so the output is in item order for any `jobs ≥ 1`. A worker
-/// that dies surfaces its claimed-but-unfiled items through `lost`
-/// instead of poisoning the matrix.
-fn run_pool<T, O, W, L>(items: &[T], jobs: usize, run_one: W, lost: L) -> Vec<O>
-where
-    T: Sync,
-    O: Send,
-    W: Fn(&T) -> O + Sync,
-    L: Fn(&T) -> O,
-{
-    assert!(jobs > 0, "run_matrix: need at least one worker");
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let jobs = jobs.min(items.len());
-    if jobs == 1 {
-        return items.iter().map(run_one).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<O>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let run_one = &run_one;
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, run_one(item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        // run_guarded never unwinds, so a join failure means the worker
-        // itself died; its claimed-but-unfiled cells surface as
-        // structured failures below instead of poisoning the matrix.
-        for handle in handles {
-            if let Ok(local) = handle.join() {
-                for (i, outcome) in local {
-                    slots[i] = Some(outcome);
-                }
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| slot.unwrap_or_else(|| lost(&items[i])))
-        .collect()
-}
-
-/// Runs every cell of a matrix on a bounded worker pool and returns one
-/// [`CellOutcome`] per cell **in cell order**, regardless of which thread
-/// finished first.
-///
-/// `strategy_for` builds a fresh strategy per cell (strategies may hold
-/// state); it runs on the worker thread executing the cell. Markets are
-/// shared through `cache`, so all cells at one seed reuse a single
-/// construction.
-///
-/// Each cell is wrapped in `catch_unwind` with one deterministic retry:
-/// a panicking cell becomes a `Failed` outcome while its neighbours run
-/// to completion.
-///
-/// Output is bit-identical for any `jobs ≥ 1`: each cell derives every
-/// random stream from its own config seed and shares nothing mutable
-/// with its neighbours.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero.
-pub fn run_matrix<F>(
-    cells: &[SweepCell],
-    jobs: usize,
-    cache: &MarketCache,
-    strategy_for: F,
-) -> Vec<CellOutcome>
-where
-    F: Fn(&SweepCell) -> Box<dyn Strategy> + Sync,
-{
-    run_pool(cells, jobs, |cell| run_cell(cell, cache, &strategy_for), lost_outcome)
-}
-
-/// Executes one cell exactly as `run_matrix` does — the shared path the
-/// orchestrator's shard workers also take, so an orchestrated sweep is
-/// byte-identical to the in-process pool cell for cell.
-pub(crate) fn run_cell<F>(cell: &SweepCell, cache: &MarketCache, strategy_for: &F) -> CellOutcome
-where
-    F: Fn(&SweepCell) -> Box<dyn Strategy> + Sync,
-{
-    run_guarded(&cell.label, &cell.strategy, || {
-        let market = cache.get_or_build(cell.config.market);
-        run_experiment_on(market, cell.config.clone(), strategy_for(cell))
-    })
-}
-
-/// One cell of a *fleet* matrix: a [`FleetConfig`] instead of an
-/// [`ExperimentConfig`], sharing the same market cache and worker pool.
+/// One cell of a sweep matrix: a labelled [`FleetConfig`] and the
+/// strategy selector the matrix's factory keys on. A classic experiment
+/// is the fleet of one built by [`FleetConfig::from_experiment`].
 #[derive(Debug, Clone)]
 pub struct FleetSweepCell {
-    /// Display label (e.g. `"fleet/spotverse/cap2"`).
+    /// Display label (e.g. `"spotverse/region_blackout"`).
     pub label: String,
     /// Strategy selector the cell's strategy factory keys on.
     pub strategy: String,
-    /// The full fleet configuration.
+    /// The full fleet configuration, chaos scenario included.
     pub config: FleetConfig,
 }
 
 impl FleetSweepCell {
-    /// A fleet cell running `strategy` under `config`, labelled `label`.
+    /// A cell running `strategy` under `config`, labelled `label`.
     pub fn new(
         label: impl Into<String>,
         strategy: impl Into<String>,
@@ -390,43 +150,129 @@ impl FleetSweepCell {
     }
 }
 
-fn lost_outcome<R>(cell: &(impl HasCellIdentity + ?Sized)) -> SweepOutcome<R> {
-    SweepOutcome {
-        label: cell.label().to_owned(),
-        strategy: cell.strategy().to_owned(),
-        retries: 0,
-        result: Err("sweep worker lost".to_owned()),
+/// The structured result of one matrix cell: either the report, or the
+/// cell's failure message after the deterministic retry was exhausted.
+/// One bad cell never poisons its matrix — neighbours complete and the
+/// caller decides how to surface the failure.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetCellOutcome {
+    /// The cell's display label.
+    pub label: String,
+    /// The cell's strategy selector.
+    pub strategy: String,
+    /// Retries taken after a panic (0 or 1 — each cell gets exactly one
+    /// deterministic retry).
+    pub retries: u32,
+    /// The report, or the failure message of the final failed attempt.
+    pub result: Result<FleetReport, String>,
+}
+
+impl FleetCellOutcome {
+    /// A failed outcome for `cell` that never ran to a report.
+    pub(crate) fn failed(cell: &FleetSweepCell, error: String) -> Self {
+        FleetCellOutcome {
+            label: cell.label.clone(),
+            strategy: cell.strategy.clone(),
+            retries: 0,
+            result: Err(error),
+        }
+    }
+
+    /// Whether the cell produced a report.
+    pub fn is_ok(&self) -> bool {
+        self.result.is_ok()
+    }
+
+    /// Whether the cell failed once and then succeeded on its retry.
+    pub fn recovered(&self) -> bool {
+        self.retries > 0 && self.result.is_ok()
+    }
+
+    /// The report, if the cell succeeded.
+    pub fn report(&self) -> Option<&FleetReport> {
+        self.result.as_ref().ok()
+    }
+
+    /// Unwraps the report for callers that treat any cell failure as
+    /// fatal (e.g. repetition aggregation, where a missing cell would
+    /// silently skew the statistics).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the cell label and failure message if the cell failed.
+    pub fn into_report(self) -> FleetReport {
+        match self.result {
+            Ok(report) => report,
+            Err(e) => panic!("sweep cell {} failed: {e}", self.label),
+        }
     }
 }
 
-trait HasCellIdentity {
-    fn label(&self) -> &str;
-    fn strategy(&self) -> &str;
-}
-
-impl HasCellIdentity for SweepCell {
-    fn label(&self) -> &str {
-        &self.label
-    }
-    fn strategy(&self) -> &str {
-        &self.strategy
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "cell panicked".to_owned()
     }
 }
 
-impl HasCellIdentity for FleetSweepCell {
-    fn label(&self) -> &str {
-        &self.label
+/// Executes one cell exactly as [`run_fleet_matrix`] does — the shared
+/// path the orchestrator's shard workers also take, so an orchestrated
+/// sweep is byte-identical to the in-process pool cell for cell.
+///
+/// The cell runs under `catch_unwind` with exactly one deterministic
+/// retry. Cells are pure functions of their config, so the retry only
+/// rescues transient host-level failures; a deterministic panic fails
+/// identically twice and is reported as the cell's error.
+pub(crate) fn run_cell<F>(
+    cell: &FleetSweepCell,
+    cache: &MarketCache,
+    strategy_for: &F,
+) -> FleetCellOutcome
+where
+    F: Fn(&FleetSweepCell) -> Box<dyn Strategy> + Sync,
+{
+    let body = || {
+        let market = cache.get_or_build(cell.config.market);
+        run_fleet_on(market, cell.config.clone(), strategy_for(cell))
+    };
+    let mut outcome = FleetCellOutcome::failed(cell, String::new());
+    for _ in 0..2 {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&body)) {
+            Ok(report) => {
+                outcome.result = Ok(report);
+                return outcome;
+            }
+            Err(payload) => {
+                outcome.result = Err(panic_message(payload));
+                outcome.retries = 1;
+            }
+        }
     }
-    fn strategy(&self) -> &str {
-        &self.strategy
-    }
+    outcome
 }
 
-/// Runs a matrix of fleet cells on the same bounded worker pool and
-/// market cache as [`run_matrix`], returning one [`FleetCellOutcome`] per
-/// cell **in cell order**. Shares the full determinism contract: output
-/// is bit-identical for any `jobs ≥ 1`, cells are panic-isolated with one
-/// deterministic retry, and same-config cells share one market build.
+/// Runs every cell of a matrix on a bounded worker pool and returns one
+/// [`FleetCellOutcome`] per cell **in cell order**, regardless of which
+/// thread finished first: cells are claimed off an atomic counter and
+/// results filed into index-addressed slots.
+///
+/// `strategy_for` builds a fresh strategy per cell (strategies may hold
+/// state); it runs on the worker thread executing the cell. Markets are
+/// shared through `cache`, so all cells at one market config reuse a
+/// single construction.
+///
+/// Each cell is wrapped in `catch_unwind` with one deterministic retry:
+/// a panicking cell becomes a failed outcome while its neighbours run to
+/// completion. A worker that dies surfaces its claimed-but-unfiled cells
+/// as failed outcomes instead of poisoning the matrix.
+///
+/// Output is bit-identical for any `jobs ≥ 1`: each cell derives every
+/// random stream from its own config seed and shares nothing mutable
+/// with its neighbours.
 ///
 /// # Panics
 ///
@@ -440,22 +286,59 @@ pub fn run_fleet_matrix<F>(
 where
     F: Fn(&FleetSweepCell) -> Box<dyn Strategy> + Sync,
 {
-    run_pool(
-        cells,
-        jobs,
-        |cell| {
-            run_guarded(&cell.label, &cell.strategy, || {
-                let market = cache.get_or_build(cell.config.market);
-                run_fleet_on(market, cell.config.clone(), strategy_for(cell))
+    assert!(jobs > 0, "run_fleet_matrix: need at least one worker");
+    let run_one = |cell: &FleetSweepCell| run_cell(cell, cache, &strategy_for);
+    if cells.is_empty() {
+        return Vec::new();
+    }
+    let jobs = jobs.min(cells.len());
+    if jobs == 1 {
+        return cells.iter().map(run_one).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<FleetCellOutcome>> = (0..cells.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let run_one = &run_one;
+        let handles: Vec<_> = (0..jobs)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(cell) = cells.get(i) else { break };
+                        local.push((i, run_one(cell)));
+                    }
+                    local
+                })
             })
-        },
-        lost_outcome,
-    )
+            .collect();
+        // run_cell never unwinds, so a join failure means the worker
+        // itself died; its claimed-but-unfiled cells surface as
+        // structured failures below instead of poisoning the matrix.
+        for handle in handles {
+            if let Ok(local) = handle.join() {
+                for (i, outcome) in local {
+                    slots[i] = Some(outcome);
+                }
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .zip(cells)
+        .map(|(slot, cell)| {
+            slot.unwrap_or_else(|| FleetCellOutcome::failed(cell, "sweep worker lost".to_owned()))
+        })
+        .collect()
 }
 
-/// [`merged_trace_jsonl`] for fleet matrices: merges the aggregate traces
-/// of fleet outcomes into one canonical JSONL document, cells in matrix
-/// order, records prefixed with the cell label.
+/// Merges the traces of a sweep's outcomes into one canonical JSONL
+/// document: cells in matrix order, each cell's records prefixed with its
+/// label via the `"cell"` key. Failed cells and cells that ran with
+/// tracing disabled contribute nothing. Because [`run_fleet_matrix`]
+/// returns outcomes in cell order regardless of `jobs`, the merged
+/// document is byte-identical for any parallelism — the property the
+/// golden-trace suite pins down.
 pub fn merged_fleet_trace_jsonl(outcomes: &[FleetCellOutcome]) -> String {
     let mut out = String::new();
     for outcome in outcomes {
@@ -473,15 +356,16 @@ mod tests {
     use cloud_market::{InstanceType, Region};
     use sim_kernel::SimRng;
 
+    use crate::experiment::ExperimentConfig;
     use crate::strategy::SingleRegionStrategy;
 
-    fn config(seed: u64, n: usize) -> ExperimentConfig {
+    fn config(seed: u64, n: usize) -> FleetConfig {
         let rng = SimRng::seed_from_u64(seed);
-        ExperimentConfig::new(
+        FleetConfig::from_experiment(&ExperimentConfig::new(
             seed,
             InstanceType::M5Xlarge,
             paper_fleet(WorkloadKind::GenomeReconstruction, n, &rng),
-        )
+        ))
     }
 
     #[test]
@@ -514,21 +398,21 @@ mod tests {
     #[test]
     fn matrix_reports_come_back_in_cell_order() {
         let cache = MarketCache::new();
-        let cells: Vec<SweepCell> = (0..4)
-            .map(|i| SweepCell::new(format!("cell-{i}"), "single-region", config(40 + i, 2)))
+        let cells: Vec<FleetSweepCell> = (0..4)
+            .map(|i| FleetSweepCell::new(format!("cell-{i}"), "single-region", config(40 + i, 2)))
             .collect();
-        let outcomes = run_matrix(&cells, 4, &cache, |_| {
+        let outcomes = run_fleet_matrix(&cells, 4, &cache, |_| {
             Box::new(SingleRegionStrategy::new(Region::CaCentral1))
         });
         assert_eq!(outcomes.len(), 4);
-        assert!(outcomes.iter().all(CellOutcome::is_ok));
+        assert!(outcomes.iter().all(FleetCellOutcome::is_ok));
         // Distinct seeds give distinct outcomes; order must match cells.
-        let serial = run_matrix(&cells, 1, &MarketCache::new(), |_| {
+        let serial = run_fleet_matrix(&cells, 1, &MarketCache::new(), |_| {
             Box::new(SingleRegionStrategy::new(Region::CaCentral1))
         });
         for (i, (p, s)) in outcomes.iter().zip(serial.iter()).enumerate() {
             assert_eq!(p.label, format!("cell-{i}"), "outcomes keep cell order");
-            let (p, s) = (p.report().unwrap(), s.report().unwrap());
+            let (p, s) = (&p.report().unwrap().aggregate, &s.report().unwrap().aggregate);
             assert_eq!(p.makespan, s.makespan);
             assert_eq!(p.cost.total, s.cost.total);
         }
@@ -538,17 +422,17 @@ mod tests {
     fn merged_trace_prefixes_cells_in_matrix_order() {
         use crate::trace::TraceConfig;
         let cache = MarketCache::new();
-        let cells: Vec<SweepCell> = (0..3)
+        let cells: Vec<FleetSweepCell> = (0..3)
             .map(|i| {
                 let mut c = config(60 + i, 2);
                 c.trace = TraceConfig::enabled();
-                SweepCell::new(format!("cell-{i}"), "single-region", c)
+                FleetSweepCell::new(format!("cell-{i}"), "single-region", c)
             })
             .collect();
-        let outcomes = run_matrix(&cells, 2, &cache, |_| {
+        let outcomes = run_fleet_matrix(&cells, 2, &cache, |_| {
             Box::new(SingleRegionStrategy::new(Region::CaCentral1))
         });
-        let merged = merged_trace_jsonl(&outcomes);
+        let merged = merged_fleet_trace_jsonl(&outcomes);
         assert!(!merged.is_empty());
         assert!(merged.ends_with('\n'));
         // Lines arrive grouped by cell, cells in matrix order.
@@ -557,24 +441,24 @@ mod tests {
             .collect();
         assert!(firsts.windows(2).all(|w| w[0] < w[1]), "cell order preserved: {firsts:?}");
         // Untraced runs contribute nothing.
-        let untraced = run_matrix(
-            &[SweepCell::new("plain", "single-region", config(99, 2))],
+        let untraced = run_fleet_matrix(
+            &[FleetSweepCell::new("plain", "single-region", config(99, 2))],
             1,
             &cache,
             |_| Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
         );
-        assert!(merged_trace_jsonl(&untraced).is_empty());
+        assert!(merged_fleet_trace_jsonl(&untraced).is_empty());
     }
 
     #[test]
     fn panicking_cell_is_isolated_and_reported() {
         let cache = MarketCache::new();
         let cells = vec![
-            SweepCell::new("good-0", "single-region", config(40, 2)),
-            SweepCell::new("bad", "single-region", config(41, 2)),
-            SweepCell::new("good-1", "single-region", config(42, 2)),
+            FleetSweepCell::new("good-0", "single-region", config(40, 2)),
+            FleetSweepCell::new("bad", "single-region", config(41, 2)),
+            FleetSweepCell::new("good-1", "single-region", config(42, 2)),
         ];
-        let outcomes = run_matrix(&cells, 2, &cache, |cell| {
+        let outcomes = run_fleet_matrix(&cells, 2, &cache, |cell| {
             if cell.label == "bad" {
                 panic!("injected cell failure");
             }
@@ -594,9 +478,9 @@ mod tests {
     fn transient_cell_failure_recovers_on_retry() {
         use std::sync::atomic::AtomicBool;
         let cache = MarketCache::new();
-        let cells = vec![SweepCell::new("flaky", "single-region", config(43, 2))];
+        let cells = vec![FleetSweepCell::new("flaky", "single-region", config(43, 2))];
         let failed_once = AtomicBool::new(false);
-        let outcomes = run_matrix(&cells, 1, &cache, |_| {
+        let outcomes = run_fleet_matrix(&cells, 1, &cache, |_| {
             if !failed_once.swap(true, Ordering::Relaxed) {
                 panic!("transient failure");
             }
@@ -610,10 +494,10 @@ mod tests {
     #[test]
     fn same_seed_cells_share_one_market() {
         let cache = MarketCache::new();
-        let cells: Vec<SweepCell> = (0..6)
-            .map(|i| SweepCell::new(format!("rep-{i}"), "single-region", config(7, 2)))
+        let cells: Vec<FleetSweepCell> = (0..6)
+            .map(|i| FleetSweepCell::new(format!("rep-{i}"), "single-region", config(7, 2)))
             .collect();
-        let _ = run_matrix(&cells, 3, &cache, |_| {
+        let _ = run_fleet_matrix(&cells, 3, &cache, |_| {
             Box::new(SingleRegionStrategy::new(Region::ApNortheast3))
         });
         assert_eq!(cache.misses(), 1, "one construction for the whole sweep");
@@ -623,7 +507,7 @@ mod tests {
     #[test]
     fn empty_matrix_is_a_no_op() {
         let cache = MarketCache::new();
-        assert!(run_matrix(&[], 4, &cache, |_| -> Box<dyn Strategy> {
+        assert!(run_fleet_matrix(&[], 4, &cache, |_| -> Box<dyn Strategy> {
             unreachable!("no cells to build for")
         })
         .is_empty());

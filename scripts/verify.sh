@@ -13,6 +13,12 @@ cargo test -q
 echo "==> benches: cargo build --benches"
 cargo build --benches
 
+echo "==> benchmark crate: build + test perfbench against the workspace"
+# perfbench is its own Cargo workspace with path deps on crates/*, so a
+# public-API change that breaks its imports fails here, not at benchmark
+# time. Its target dir is git-ignored.
+CARGO_TARGET_DIR=.bench_build cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> golden traces: byte-identical replay of committed traces"
 # Drift fails here; bless intentional changes with scripts/regen-golden.sh.
 cargo test -q -p spotverse-integration --test golden_traces

@@ -11,8 +11,8 @@ use chaos::ChaosScenario;
 use cloud_market::{InstanceType, SpotMarket};
 use sim_kernel::SimRng;
 use spotverse::{
-    run_experiment_on, ExperimentConfig, ExperimentReport, SpotVerseConfig, SpotVerseStrategy,
-    Strategy, TraceConfig,
+    run_experiment_on, ExperimentConfig, ExperimentReport, FleetConfig, FleetSweepCell,
+    SpotVerseConfig, SpotVerseStrategy, Strategy, TraceConfig,
 };
 
 /// A paper-shaped fleet configuration: `n` workloads of `kind` at `seed`,
@@ -27,6 +27,15 @@ pub fn traced_config(kind: WorkloadKind, n: usize, seed: u64) -> ExperimentConfi
     let mut config = fleet_config(kind, n, seed);
     config.trace = TraceConfig::enabled();
     config
+}
+
+/// A sweep cell running the experiment `config` as a fleet of one.
+pub fn experiment_cell(
+    label: impl Into<String>,
+    strategy: impl Into<String>,
+    config: &ExperimentConfig,
+) -> FleetSweepCell {
+    FleetSweepCell::new(label, strategy, FleetConfig::from_experiment(config))
 }
 
 /// The paper-default SpotVerse strategy (threshold 6, m5.xlarge).

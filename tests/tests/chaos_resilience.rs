@@ -14,10 +14,10 @@ use chaos::{
 use cloud_market::{Region, SpotMarket};
 use sim_kernel::SimDuration;
 use spotverse::{
-    resolve_jobs, run_matrix, MarketCache, NaiveMultiRegionStrategy, OnDemandStrategy,
-    ResilienceTelemetry, SingleRegionStrategy, SkyPilotStrategy, Strategy, SweepCell,
+    resolve_jobs, run_fleet_matrix, MarketCache, NaiveMultiRegionStrategy, OnDemandStrategy,
+    ResilienceTelemetry, SingleRegionStrategy, SkyPilotStrategy, Strategy,
 };
-use spotverse_integration::{fleet_config as config, run_with, spotverse_strategy};
+use spotverse_integration::{experiment_cell, fleet_config as config, run_with, spotverse_strategy};
 
 /// Satellite (c): an NGS shard fleet under lost notices *and* a flaky
 /// checkpoint store. Zero-second notices tear in-flight checkpoint
@@ -185,16 +185,12 @@ fn every_scenario_yields_ok_reports_for_every_strategy() {
         for scenario in library() {
             let mut cfg = base.clone();
             cfg.chaos = Some(scenario.clone());
-            cells.push(SweepCell::new(
-                format!("{name}/{}", scenario.name()),
-                name,
-                cfg,
-            ));
+            cells.push(experiment_cell(format!("{name}/{}", scenario.name()), name, &cfg));
         }
     }
     let cache = MarketCache::new();
     let jobs = resolve_jobs(None, cells.len());
-    let outcomes = run_matrix(&cells, jobs, &cache, |cell| match cell.strategy.as_str() {
+    let outcomes = run_fleet_matrix(&cells, jobs, &cache, |cell| match cell.strategy.as_str() {
         "single-region" => Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
         "naive-multi" => Box::new(NaiveMultiRegionStrategy::paper_motivational()),
         "skypilot" => Box::new(SkyPilotStrategy::new()),
@@ -204,9 +200,10 @@ fn every_scenario_yields_ok_reports_for_every_strategy() {
     });
     assert_eq!(outcomes.len(), strategies.len() * library().len());
     for outcome in &outcomes {
-        let report = outcome
+        let report = &outcome
             .report()
-            .unwrap_or_else(|| panic!("cell {} failed: {:?}", outcome.label, outcome.result));
+            .unwrap_or_else(|| panic!("cell {} failed: {:?}", outcome.label, outcome.result))
+            .aggregate;
         assert_eq!(
             report.completed,
             base.workloads.len(),

@@ -14,10 +14,11 @@ use std::path::PathBuf;
 
 use bio_workloads::WorkloadKind;
 use spotverse::{
-    append_trace_jsonl, merged_trace_jsonl, render_analysis, replay_str, run_matrix_orchestrated,
-    MarketCache, OrchestratorConfig, SweepCell, TimeWindow, TraceConfig,
+    append_trace_jsonl, merged_fleet_trace_jsonl, render_analysis, replay_str,
+    run_matrix_orchestrated, FleetSweepCell, MarketCache, OrchestratorConfig, TimeWindow,
+    TraceConfig,
 };
-use spotverse_integration::{spotverse_strategy, traced_config};
+use spotverse_integration::{experiment_cell, spotverse_strategy, traced_config};
 
 fn golden_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden")
@@ -87,10 +88,10 @@ fn fleet_golden_analytics_match() {
 /// the run views. Deterministic, so snapshot-stable.
 #[test]
 fn sweep_shard_chaos_analytics_match() {
-    let cells: Vec<SweepCell> = (0..4)
+    let cells: Vec<FleetSweepCell> = (0..4)
         .map(|i| {
             let config = traced_config(WorkloadKind::NgsPreprocessing, 2, 90 + i as u64);
-            SweepCell::new(format!("cell-{i}"), "spotverse", config)
+            experiment_cell(format!("cell-{i}"), "spotverse", &config)
         })
         .collect();
     let cache = MarketCache::new();
@@ -103,7 +104,7 @@ fn sweep_shard_chaos_analytics_match() {
         ..OrchestratorConfig::default()
     };
     let report = run_matrix_orchestrated(&cells, &config, &cache, |_| spotverse_strategy());
-    let mut doc = merged_trace_jsonl(&report.outcomes);
+    let mut doc = merged_fleet_trace_jsonl(&report.outcomes);
     append_trace_jsonl(
         &mut doc,
         Some("orchestrator"),

@@ -2,14 +2,16 @@
 //! in-process sweep engine, and exactly-once-or-dead-lettered accounting
 //! under the `sweep_shard_chaos` scenario.
 
-use bio_workloads::WorkloadKind;
+use bio_workloads::{paper_fleet, WorkloadKind};
+use cloud_market::InstanceType;
+use sim_kernel::{SimDuration, SimRng};
 use spotverse::{
-    merged_trace_jsonl, run_matrix, run_matrix_orchestrated, MarketCache, OrchestratorConfig,
-    SweepCell, TraceConfig,
+    merged_fleet_trace_jsonl, run_fleet_matrix, run_matrix_orchestrated, FleetCellOutcome,
+    FleetConfig, FleetSweepCell, LoadProfile, MarketCache, OrchestratorConfig, TraceConfig,
 };
-use spotverse_integration::{fleet_config, spotverse_strategy, traced_config};
+use spotverse_integration::{experiment_cell, fleet_config, spotverse_strategy, traced_config};
 
-fn cells(n: usize, traced: bool) -> Vec<SweepCell> {
+fn cells(n: usize, traced: bool) -> Vec<FleetSweepCell> {
     (0..n)
         .map(|i| {
             let seed = 90 + i as u64;
@@ -18,35 +20,68 @@ fn cells(n: usize, traced: bool) -> Vec<SweepCell> {
             } else {
                 fleet_config(WorkloadKind::NgsPreprocessing, 2, seed)
             };
-            SweepCell::new(format!("cell-{i}"), "spotverse", config)
+            experiment_cell(format!("cell-{i}"), "spotverse", &config)
         })
         .collect()
 }
 
-/// Fault-free, the orchestrated sweep is byte-identical to `run_matrix`:
-/// same outcomes, same merged trace, no re-drives or duplicates.
+/// Fleet-shaped cells, both traced: four arrivals five minutes apart
+/// contending for a one-instance-per-region cap, and a small generated
+/// Poisson fleet.
+fn fleet_cells() -> Vec<FleetSweepCell> {
+    let rng = SimRng::seed_from_u64(96);
+    let mut capped = FleetConfig::staggered(
+        96,
+        InstanceType::M5Xlarge,
+        paper_fleet(WorkloadKind::NgsPreprocessing, 4, &rng),
+        SimDuration::from_mins(5),
+    );
+    capped.region_capacity = Some(1);
+    capped.trace = TraceConfig::enabled();
+    let mut poisson = LoadProfile::poisson(30.0).generate(97, 4, InstanceType::M5Xlarge);
+    poisson.trace = TraceConfig::enabled();
+    vec![
+        FleetSweepCell::new("fleet/capped", "spotverse", capped),
+        FleetSweepCell::new("fleet/poisson", "spotverse", poisson),
+    ]
+}
+
+/// Fault-free, the orchestrated sweep is byte-identical to
+/// `run_fleet_matrix` — for experiment-shaped and fleet-shaped cells
+/// alike: same outcomes, same merged trace, no re-drives or duplicates.
 #[test]
 fn fault_free_orchestration_is_byte_identical_to_in_process() {
-    let cells = cells(4, true);
+    let mut cells = cells(4, true);
+    cells.extend(fleet_cells());
     let cache = MarketCache::new();
-    let inprocess = run_matrix(&cells, 2, &cache, |_| spotverse_strategy());
-    let config = OrchestratorConfig { shard_size: 2, ..OrchestratorConfig::default() };
-    let report = run_matrix_orchestrated(&cells, &config, &cache, |_| spotverse_strategy());
-    assert_eq!(report.outcomes, inprocess, "outcomes must be byte-identical");
-    assert_eq!(
-        merged_trace_jsonl(&report.outcomes),
-        merged_trace_jsonl(&inprocess),
-        "merged JSONL traces must be byte-identical"
-    );
-    assert!(report.dead_letters.is_empty());
-    assert_eq!(report.stats.shards, 2);
-    assert_eq!(report.stats.completed_shards, 2);
-    assert_eq!(report.stats.dispatches, 2);
-    assert_eq!(report.stats.redrives, 0);
-    assert_eq!(report.stats.lease_expiries, 0);
-    assert_eq!(report.stats.duplicate_executions, 0);
-    assert_eq!(report.stats.bus_lost, 0);
-    assert_eq!(report.stats.bus_duplicated, 0);
+    let inprocess = run_fleet_matrix(&cells, 2, &cache, |_| spotverse_strategy());
+    assert!(inprocess.iter().all(FleetCellOutcome::is_ok), "every cell runs");
+    let capped = inprocess[4].report().expect("capped fleet cell runs");
+    assert!(capped.capacity_deferrals > 0, "the cap must bind on the staggered fleet");
+    let merged = merged_fleet_trace_jsonl(&inprocess);
+    for label in ["fleet/capped", "fleet/poisson"] {
+        assert!(merged.contains(&format!("{{\"cell\":\"{label}\"")), "{label} traced");
+    }
+    for shard_size in [1, 2] {
+        let config = OrchestratorConfig { shard_size, ..OrchestratorConfig::default() };
+        let report = run_matrix_orchestrated(&cells, &config, &cache, |_| spotverse_strategy());
+        assert_eq!(report.outcomes, inprocess, "shard_size {shard_size}: outcomes byte-identical");
+        assert_eq!(
+            merged_fleet_trace_jsonl(&report.outcomes),
+            merged,
+            "shard_size {shard_size}: merged JSONL traces must be byte-identical"
+        );
+        let shards = cells.len().div_ceil(shard_size);
+        assert!(report.dead_letters.is_empty());
+        assert_eq!(report.stats.shards, shards);
+        assert_eq!(report.stats.completed_shards, shards);
+        assert_eq!(report.stats.dispatches, shards as u64);
+        assert_eq!(report.stats.redrives, 0);
+        assert_eq!(report.stats.lease_expiries, 0);
+        assert_eq!(report.stats.duplicate_executions, 0);
+        assert_eq!(report.stats.bus_lost, 0);
+        assert_eq!(report.stats.bus_duplicated, 0);
+    }
 }
 
 /// Under `sweep_shard_chaos` (lost and duplicated dispatches, throttled
@@ -59,7 +94,7 @@ fn fault_free_orchestration_is_byte_identical_to_in_process() {
 fn sweep_shard_chaos_completes_or_dead_letters_every_cell() {
     let cells = cells(6, false);
     let cache = MarketCache::new();
-    let fault_free = run_matrix(&cells, 2, &cache, |_| spotverse_strategy());
+    let fault_free = run_fleet_matrix(&cells, 2, &cache, |_| spotverse_strategy());
     let mut saw_dead_letter = false;
     let mut saw_completion = false;
     for seed in 0..12u64 {

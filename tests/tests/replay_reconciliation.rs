@@ -12,11 +12,13 @@ use proptest::prelude::*;
 use sim_kernel::{SimDuration, SimRng};
 use spotverse::replay::strategy_distributions;
 use spotverse::{
-    merged_trace_jsonl, replay_str, run_fleet, run_matrix, run_matrix_orchestrated,
-    trace_to_jsonl, CellState, ExperimentReport, FleetConfig, MarketCache, OrchestratorConfig,
-    SweepCell, TimeWindow, TraceConfig,
+    merged_fleet_trace_jsonl, replay_str, run_fleet, run_fleet_matrix, run_matrix_orchestrated,
+    trace_to_jsonl, CellState, ExperimentReport, FleetConfig, FleetSweepCell, MarketCache,
+    OrchestratorConfig, TimeWindow, TraceConfig,
 };
-use spotverse_integration::{spotverse_strategy, spotverse_with_threshold, traced_config};
+use spotverse_integration::{
+    experiment_cell, spotverse_strategy, spotverse_with_threshold, traced_config,
+};
 
 fn replay_single(doc: &str) -> CellState {
     let state = replay_str(doc, TimeWindow::ALL).expect("trace parses");
@@ -184,27 +186,27 @@ fn replay_views_equal_live_fleet_report() {
 fn replay_reconciles_merged_sweep_and_distributions() {
     let thresholds = [4u8, 6];
     let seeds = [200u64, 201];
-    let cells: Vec<SweepCell> = thresholds
+    let cells: Vec<FleetSweepCell> = thresholds
         .iter()
         .flat_map(|&t| {
             seeds.iter().map(move |&seed| {
                 let config = traced_config(WorkloadKind::NgsPreprocessing, 3, seed);
-                SweepCell::new(format!("t{t}/s{seed}"), format!("spotverse-t{t}"), config)
+                experiment_cell(format!("t{t}/s{seed}"), format!("spotverse-t{t}"), &config)
             })
         })
         .collect();
     let cache = MarketCache::new();
-    let outcomes = run_matrix(&cells, 2, &cache, |cell| {
+    let outcomes = run_fleet_matrix(&cells, 2, &cache, |cell| {
         let t = if cell.label.starts_with("t4") { 4 } else { 6 };
         spotverse_with_threshold(t)
     });
-    let merged = merged_trace_jsonl(&outcomes);
+    let merged = merged_fleet_trace_jsonl(&outcomes);
     let state = replay_str(&merged, TimeWindow::ALL).expect("merged trace parses");
     assert_eq!(state.cells.len(), cells.len(), "one folded cell per sweep cell");
     for ((key, cell), outcome) in state.cells.iter().zip(&outcomes) {
         assert_eq!(key, &outcome.label);
         let report = outcome.report().expect("cell succeeded");
-        assert_reconciles(cell, report, key);
+        assert_reconciles(cell, &report.aggregate, key);
     }
     let dists = strategy_distributions(&state);
     assert_eq!(dists.len(), 1, "every cell ran the same strategy display name");
@@ -220,10 +222,10 @@ fn replay_reconciles_merged_sweep_and_distributions() {
 /// completions all match, fault-free and under `sweep_shard_chaos`.
 #[test]
 fn replay_shard_view_equals_orchestration_stats() {
-    let cells: Vec<SweepCell> = (0..4)
+    let cells: Vec<FleetSweepCell> = (0..4)
         .map(|i| {
             let config = traced_config(WorkloadKind::NgsPreprocessing, 2, 400 + i as u64);
-            SweepCell::new(format!("cell-{i}"), "spotverse", config)
+            experiment_cell(format!("cell-{i}"), "spotverse", &config)
         })
         .collect();
     let cache = MarketCache::new();

@@ -6,8 +6,8 @@
 use bio_workloads::WorkloadKind;
 use chaos::ChaosScenario;
 use cloud_market::{MarketConfig, MarketRegime, SpotMarket};
-use spotverse::{run_matrix, CellOutcome, MarketCache, SweepCell};
-use spotverse_integration::spotverse_strategy;
+use spotverse::{run_fleet_matrix, FleetCellOutcome, FleetSweepCell, MarketCache};
+use spotverse_integration::{experiment_cell, spotverse_strategy};
 
 fn fleet_config(seed: u64, n: usize) -> spotverse::ExperimentConfig {
     spotverse_integration::fleet_config(WorkloadKind::NgsPreprocessing, n, seed)
@@ -36,23 +36,23 @@ fn run_matrix_is_jobs_invariant() {
     let scenarios: Vec<Option<ChaosScenario>> = std::iter::once(None)
         .chain(chaos::library().into_iter().map(Some))
         .collect();
-    let cells: Vec<SweepCell> = scenarios
+    let cells: Vec<FleetSweepCell> = scenarios
         .iter()
         .enumerate()
         .map(|(i, scenario)| {
             let mut config = base.clone();
             config.chaos = scenario.clone();
-            SweepCell::new(format!("cell-{i}"), "spotverse", config)
+            experiment_cell(format!("cell-{i}"), "spotverse", &config)
         })
         .collect();
-    let run = |jobs: usize| -> Vec<CellOutcome> {
+    let run = |jobs: usize| -> Vec<FleetCellOutcome> {
         let cache = MarketCache::new();
-        let outcomes = run_matrix(&cells, jobs, &cache, |_| spotverse_strategy());
+        let outcomes = run_fleet_matrix(&cells, jobs, &cache, |_| spotverse_strategy());
         // Chaos overlays live on the read path: every cell shares the one
         // clean base market, so the whole matrix builds exactly one.
         assert_eq!(cache.misses(), 1, "jobs={jobs}");
         assert_eq!(cache.hits(), cells.len() as u64 - 1, "jobs={jobs}");
-        assert!(outcomes.iter().all(CellOutcome::is_ok), "jobs={jobs}");
+        assert!(outcomes.iter().all(FleetCellOutcome::is_ok), "jobs={jobs}");
         outcomes
     };
     let serial = run(1);
@@ -63,15 +63,15 @@ fn run_matrix_is_jobs_invariant() {
 
 #[test]
 fn distinct_seeds_build_distinct_markets() {
-    let cells: Vec<SweepCell> = (0..3)
-        .map(|i| SweepCell::new(format!("seed-{i}"), "spotverse", fleet_config(100 + i, 2)))
+    let cells: Vec<FleetSweepCell> = (0..3)
+        .map(|i| experiment_cell(format!("seed-{i}"), "spotverse", &fleet_config(100 + i, 2)))
         .collect();
     let cache = MarketCache::new();
-    let outcomes = run_matrix(&cells, 3, &cache, |_| spotverse_strategy());
+    let outcomes = run_fleet_matrix(&cells, 3, &cache, |_| spotverse_strategy());
     assert_eq!(outcomes.len(), 3);
     assert_eq!(cache.misses(), 3, "three seeds, three constructions");
     assert_eq!(cache.hits(), 0);
-    let reports: Vec<_> = outcomes.iter().map(|o| o.report().unwrap()).collect();
+    let reports: Vec<_> = outcomes.iter().map(|o| &o.report().unwrap().aggregate).collect();
     assert!(
         reports[0] != reports[1] || reports[1] != reports[2],
         "different seeds should not all coincide"

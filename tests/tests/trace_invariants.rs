@@ -8,10 +8,12 @@
 use bio_workloads::WorkloadKind;
 use proptest::prelude::*;
 use spotverse::{
-    merged_trace_jsonl, run_experiment, run_matrix, BreakerState, DecisionKind, MarketCache,
-    RunTrace, SweepCell, TraceEvent,
+    merged_fleet_trace_jsonl, run_experiment, run_fleet_matrix, BreakerState, DecisionKind,
+    FleetSweepCell, MarketCache, RunTrace, TraceEvent,
 };
-use spotverse_integration::{fleet_config, run_with, spotverse_strategy, traced_config};
+use spotverse_integration::{
+    experiment_cell, fleet_config, run_with, spotverse_strategy, traced_config,
+};
 
 use std::sync::Arc;
 
@@ -113,19 +115,19 @@ fn merged_sweep_trace_is_jobs_invariant() {
     let scenarios: Vec<Option<chaos::ChaosScenario>> = std::iter::once(None)
         .chain(chaos::library().into_iter().map(Some))
         .collect();
-    let cells: Vec<SweepCell> = scenarios
+    let cells: Vec<FleetSweepCell> = scenarios
         .iter()
         .enumerate()
         .map(|(i, scenario)| {
             let mut config = traced_config(WorkloadKind::NgsPreprocessing, 3, 404);
             config.chaos = scenario.clone();
-            SweepCell::new(format!("cell-{i}"), "spotverse", config)
+            experiment_cell(format!("cell-{i}"), "spotverse", &config)
         })
         .collect();
     let run = |jobs: usize| {
         let cache = MarketCache::new();
-        let outcomes = run_matrix(&cells, jobs, &cache, |_| spotverse_strategy());
-        merged_trace_jsonl(&outcomes)
+        let outcomes = run_fleet_matrix(&cells, jobs, &cache, |_| spotverse_strategy());
+        merged_fleet_trace_jsonl(&outcomes)
     };
     let serial = run(1);
     assert!(!serial.is_empty());

@@ -12,10 +12,11 @@ use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::InstanceType;
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    parse_trace_jsonl, run_fleet, run_matrix, trace_lines_to_jsonl, trace_to_jsonl, FleetConfig,
-    MarketCache, SweepCell, TraceConfig, TraceEvent, TraceLine, TraceRecord, TraceStats,
+    parse_trace_jsonl, run_fleet, run_fleet_matrix, trace_lines_to_jsonl, trace_to_jsonl,
+    FleetConfig, FleetSweepCell, MarketCache, TraceConfig, TraceEvent, TraceLine, TraceRecord,
+    TraceStats,
 };
-use spotverse_integration::{spotverse_strategy, traced_config};
+use spotverse_integration::{experiment_cell, spotverse_strategy, traced_config};
 
 const GOLDENS: [&str; 5] = [
     "spotverse_ngs3_seed2024_t4.jsonl",
@@ -123,24 +124,24 @@ fn split_by_cell(lines: &[TraceLine]) -> Vec<(String, Vec<TraceRecord>)> {
 /// split by cell and re-anchor at each cell's own `run_started`.
 #[test]
 fn trace_stats_reconcile_across_merged_cells() {
-    let cells: Vec<SweepCell> = (0..3)
+    let cells: Vec<FleetSweepCell> = (0..3)
         .map(|i| {
             let mut config = traced_config(WorkloadKind::NgsPreprocessing, 3, 300 + i);
             if i == 1 {
                 config.chaos = Some(chaos::region_flap());
             }
-            SweepCell::new(format!("cell-{i}"), "spotverse", config)
+            experiment_cell(format!("cell-{i}"), "spotverse", &config)
         })
         .collect();
     let cache = MarketCache::new();
-    let outcomes = run_matrix(&cells, 2, &cache, |_| spotverse_strategy());
-    let merged = spotverse::merged_trace_jsonl(&outcomes);
+    let outcomes = run_fleet_matrix(&cells, 2, &cache, |_| spotverse_strategy());
+    let merged = spotverse::merged_fleet_trace_jsonl(&outcomes);
     let lines = parse_trace_jsonl(&merged).expect("merged trace parses");
     let by_cell = split_by_cell(&lines);
     assert_eq!(by_cell.len(), cells.len(), "every cell present in the merged document");
     for ((key, records), (cell, outcome)) in by_cell.iter().zip(cells.iter().zip(&outcomes)) {
         assert_eq!(key, &cell.label);
-        let report = outcome.report().expect("cell succeeded");
+        let report = &outcome.report().expect("cell succeeded").aggregate;
         let trace = report.trace.as_ref().expect("tracing enabled");
         assert_eq!(records, &trace.events, "{key}: parsed records equal the originals");
         let rebuilt = TraceStats::rebuild(records);
