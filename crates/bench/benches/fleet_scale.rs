@@ -1,8 +1,10 @@
 //! Fleet-scale throughput: drives `run_fleet` over generated Poisson
 //! fleets at 1k/5k/10k/25k workloads on one shared market, recording
 //! workloads/sec, events/sec, and heap allocations per delivered event —
-//! plus the measured win from the snapshot-epoch assessment cache — into
-//! `BENCH_fleet.json` at the repo root for regression tracking.
+//! plus the measured win from the snapshot-epoch assessment cache and the
+//! trace replay rate (lines/sec, allocations per line) of a traced 1k
+//! fleet — into `BENCH_fleet.json` at the repo root for regression
+//! tracking.
 //!
 //! The per-event allocation count comes from a counting wrapper around
 //! the system allocator installed for this whole binary; it is the
@@ -136,17 +138,32 @@ fn main() {
         .as_ref()
         .expect("tracing was enabled for the replay-export phase");
     let mut replay_export_secs = f64::INFINITY;
+    let mut replay_secs = f64::INFINITY;
+    let mut replay_allocs = 0;
+    let mut replay_lines = 0;
     for _ in 0..3 {
         let t = Instant::now();
         let jsonl = trace_to_jsonl(run_trace);
+        let exported = Instant::now();
+        let allocs_before = CountingAlloc::allocations();
         let state = replay_str(&jsonl, TimeWindow::ALL).expect("bench trace replays cleanly");
+        replay_allocs = CountingAlloc::allocations() - allocs_before;
+        replay_secs = replay_secs.min(exported.elapsed().as_secs_f64());
         replay_export_secs = replay_export_secs.min(t.elapsed().as_secs_f64());
+        replay_lines = jsonl.lines().count();
         std::hint::black_box(&state);
     }
+    // Replay alone: its allocation count per line is exact and
+    // host-independent, so it is gated strictly.
+    let replay_allocs_per_line = replay_allocs as f64 / replay_lines as f64;
+    let replay_lines_per_sec = replay_lines as f64 / replay_secs;
     println!("  market build   {market_build_secs:>8.3} s   (eager 12-region construction)");
     println!("  dispatch       {dispatch_secs:>8.3} s   (5k fleet, monitor pipeline off)");
     println!("  monitor        {monitor_secs:>8.3} s   (5k fleet, full Monitor→KV pipeline)");
     println!("  replay-export  {replay_export_secs:>8.3} s   (1k traced fleet → JSONL → replay)");
+    println!(
+        "  replay         {replay_lines_per_sec:>8.0} lines/s   {replay_allocs_per_line:.3} allocs/line   ({replay_lines} lines)"
+    );
 
     // -- record ------------------------------------------------------------
     let mut json = format!("{{\n  \"cpu_cores\": {cores},\n");
@@ -165,7 +182,9 @@ fn main() {
          \"phase_market_build_secs\": {market_build_secs:.6},\n  \
          \"phase_dispatch_secs\": {dispatch_secs:.6},\n  \
          \"phase_monitor_secs\": {monitor_secs:.6},\n  \
-         \"phase_replay_export_secs\": {replay_export_secs:.6}\n}}\n"
+         \"phase_replay_export_secs\": {replay_export_secs:.6},\n  \
+         \"replay_allocs_per_line\": {replay_allocs_per_line:.3},\n  \
+         \"replay_lines_per_sec\": {replay_lines_per_sec:.3}\n}}\n"
     ));
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
     std::fs::write(out, &json).expect("write BENCH_fleet.json");

@@ -86,15 +86,23 @@ fn cell_strategy(cell: &CellState) -> &str {
     cell.summary.strategy.as_deref().unwrap_or("?")
 }
 
+/// Whether a cell's trace lost records to its capacity cap: its billed
+/// total is then only a lower bound, and its completions and makespan
+/// are unknown.
+fn truncated(cell: &CellState) -> bool {
+    cell.dropped.is_some()
+}
+
 /// Groups cells by strategy and summarizes cost/makespan distributions.
 /// Strategies appear in first-seen cell order. Cells with no
 /// `run_started` record (e.g. the orchestrator's shard trace) carry no
-/// strategy and are skipped.
+/// strategy and are skipped, as are truncated cells, whose figures are
+/// incomplete.
 #[must_use]
 pub fn strategy_distributions(state: &ReplayState) -> Vec<StrategyDistribution> {
     let mut groups: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
     for (_, cell) in &state.cells {
-        if cell.summary.strategy.is_none() {
+        if cell.summary.strategy.is_none() || truncated(cell) {
             continue;
         }
         let name = cell_strategy(cell);
@@ -121,14 +129,15 @@ pub fn strategy_distributions(state: &ReplayState) -> Vec<StrategyDistribution> 
         .collect()
 }
 
-/// Builds the pairwise cost win matrix across common seeds.
+/// Builds the pairwise cost win matrix across common seeds. Truncated
+/// cells are left out: a lower-bound cost can win no comparison.
 #[must_use]
 pub fn win_matrix(state: &ReplayState) -> WinMatrix {
     let mut strategies: Vec<String> = Vec::new();
-    // (seed, strategy index, billed) per cell that declared a seed.
+    // (seed, strategy index, billed) per complete cell that declared a seed.
     let mut samples: Vec<(u64, usize, f64)> = Vec::new();
     for (_, cell) in &state.cells {
-        let Some(seed) = cell.summary.seed else { continue };
+        let Some(seed) = cell.summary.seed.filter(|_| !truncated(cell)) else { continue };
         let name = cell_strategy(cell);
         let idx = match strategies.iter().position(|n| n == name) {
             Some(i) => i,
@@ -188,20 +197,26 @@ fn render_cell(out: &mut String, key: &str, cell: &CellState) {
         .as_deref()
         .map(|r| format!(" regime={r}"))
         .unwrap_or_default();
+    // A truncated trace lost the records that would settle completions
+    // and makespan, and some of its spend: say so rather than print a
+    // confident figure.
+    let lossy = truncated(cell);
+    let completed = if lossy { "unknown".to_owned() } else { s.completed.to_string() };
     let _ = writeln!(
         out,
-        "  run: strategy={strategy} seed={seed} chaos={chaos}{regime} workloads={} completed={} aborted={}",
+        "  run: strategy={strategy} seed={seed} chaos={chaos}{regime} workloads={} completed={completed} aborted={}",
         s.workloads.map_or_else(|| "-".to_owned(), |v| v.to_string()),
-        s.completed,
         s.aborted,
     );
-    let makespan = s.makespan_secs().map_or_else(
-        || "-".to_owned(),
-        |secs| format!("{secs} s ({:.2} h)", secs as f64 / 3600.0),
-    );
+    let makespan = match s.makespan_secs() {
+        _ if lossy => "unknown".to_owned(),
+        Some(secs) => format!("{secs} s ({:.2} h)", secs as f64 / 3600.0),
+        None => "-".to_owned(),
+    };
     let _ = writeln!(
         out,
-        "  outcome: billed=${} makespan={makespan} decisions={} migrations={}",
+        "  outcome: billed={}${} makespan={makespan} decisions={} migrations={}",
+        if lossy { "≥" } else { "" },
         fmt_money(cell.ledger.billed_total()),
         s.decisions,
         s.migrations,
@@ -306,7 +321,12 @@ pub fn render_analysis(state: &ReplayState) -> String {
     }
     if state.cells.len() > 1 {
         let dists = strategy_distributions(state);
-        let _ = writeln!(out, "distributions ({} cells)", state.cells.len());
+        let lossy = state.cells.iter().filter(|(_, c)| truncated(c)).count();
+        let _ = write!(out, "distributions ({} cells", state.cells.len());
+        if lossy > 0 {
+            let _ = write!(out, ", {lossy} truncated left out");
+        }
+        out.push_str(")\n");
         for d in &dists {
             let _ = writeln!(out, "  {} ({} cells)", d.strategy, d.cells);
             if let Some(cost) = &d.cost {
@@ -367,7 +387,10 @@ pub fn render_analysis_json(state: &ReplayState) -> String {
         .map(|(key, cell)| {
             let mut obj = cell.to_json().into_obj().expect("cell snapshot is an object");
             obj.push(("billed_total".to_owned(), num_f64(cell.ledger.billed_total())));
-            if let Some(secs) = cell.summary.makespan_secs() {
+            if truncated(cell) {
+                // `billed_total` is a floor; the makespan is unknown.
+                obj.push(("lower_bound".to_owned(), JsonVal::Bool(true)));
+            } else if let Some(secs) = cell.summary.makespan_secs() {
                 obj.push(("makespan_s".to_owned(), num_u64(secs)));
             }
             (key.clone(), JsonVal::Obj(obj))

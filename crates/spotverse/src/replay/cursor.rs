@@ -11,7 +11,7 @@
 use sim_kernel::SimTime;
 
 use super::json::{self, Fields, JsonVal};
-use super::parse::{parse_trace_line, TraceParseError};
+use super::parse::{decode_line, TraceParseError};
 use super::views::{ReplayState, TimeWindow};
 
 /// Snapshot format version; bumped when the layout changes.
@@ -73,23 +73,12 @@ impl ReplayCursor {
         if line.is_empty() {
             return Ok(());
         }
-        let parsed = parse_trace_line(line).map_err(|message| TraceParseError {
+        let (label, parsed) = decode_line(line).map_err(|message| TraceParseError {
             line: usize::try_from(self.consumed).unwrap_or(usize::MAX),
             message,
         })?;
-        match (&self.default_cell, parsed.cell()) {
-            (Some(default), None) => {
-                let mut relabelled = parsed;
-                match &mut relabelled {
-                    super::parse::TraceLine::Record { cell, .. }
-                    | super::parse::TraceLine::Truncated { cell, .. } => {
-                        *cell = Some(default.clone());
-                    }
-                }
-                self.state.fold_line(&relabelled, self.window);
-            }
-            _ => self.state.fold_line(&parsed, self.window),
-        }
+        let key = label.as_deref().or(self.default_cell.as_deref()).unwrap_or("");
+        self.state.fold_keyed(key, &parsed, self.window);
         Ok(())
     }
 
@@ -248,5 +237,43 @@ mod tests {
         let state = cursor.finish().unwrap();
         assert_eq!(state.cells.len(), 1);
         assert_eq!(state.cells[0].0, "fileA");
+    }
+
+    #[test]
+    fn multibyte_labels_round_trip() {
+        use crate::replay::parse::{parse_trace_jsonl, trace_lines_to_jsonl};
+        use crate::trace::{append_record_json, TraceEvent, TraceRecord};
+
+        let mut doc = String::new();
+        for (seq, label) in ["é", "€", "🚀", "é€🚀\"/x"].into_iter().enumerate() {
+            let record = TraceRecord {
+                seq: seq as u64,
+                at: SimTime::from_secs(86_400),
+                event: TraceEvent::RunStarted {
+                    strategy: format!("spot{label}"),
+                    seed: 7,
+                    workloads: 1,
+                    chaos: Some(label.to_owned()),
+                    regime: None,
+                },
+            };
+            append_record_json(&mut doc, Some(label), &record);
+            doc.push('\n');
+        }
+        // The line decoder inverts the writer.
+        let lines = parse_trace_jsonl(&doc).unwrap();
+        assert_eq!(lines[2].cell(), Some("🚀"));
+        assert_eq!(trace_lines_to_jsonl(&lines), doc);
+        // Snapshot → resume, split at every char boundary.
+        let whole = replay_str(&doc, TimeWindow::ALL).unwrap();
+        let keys: Vec<&str> = whole.cells.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["é", "€", "🚀", "é€🚀\"/x"]);
+        for split in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+            let mut cursor = ReplayCursor::default();
+            cursor.feed(&doc[..split]).unwrap();
+            let mut resumed = ReplayCursor::resume(&cursor.snapshot()).unwrap();
+            resumed.feed(&doc[split..]).unwrap();
+            assert_eq!(resumed.finish().unwrap(), whole, "split at {split}");
+        }
     }
 }

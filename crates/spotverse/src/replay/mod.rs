@@ -9,7 +9,13 @@
 //!
 //! - [`parse`] inverts the canonical JSONL writer byte-for-byte
 //!   ([`parse_trace_jsonl`] / [`trace_lines_to_jsonl`]), rejecting
-//!   corrupt lines with an error naming the line number.
+//!   corrupt lines with an error naming the line number. Its decoder is
+//!   schema-directed: each line is scanned once into a borrowed field
+//!   table and decoded straight into a `TraceEvent`, with no JSON tree in
+//!   between, so replay costs about as much as rendering the trace.
+//! - `json` (private) holds the borrowing JSON lexer the decoder shares
+//!   with the lossless value tree that cursor snapshots and
+//!   [`render_analysis_json`] are built from.
 //! - [`views`] holds the pure fold aggregates: `fold(state, record)`
 //!   has no clocks and no I/O, so replay is deterministic, chunkable,
 //!   and resumable with identical results.
@@ -19,7 +25,9 @@
 //! - [`analytics`] derives distribution-level figures (percentiles,
 //!   per-strategy cost/makespan summaries, pairwise win matrices) and
 //!   renders the deterministic text the `spotverse analyse` CLI and the
-//!   golden-analytics snapshots share.
+//!   golden-analytics snapshots share. A cell whose trace was truncated
+//!   reports its completions and makespan as unknown and its spend as a
+//!   lower bound, and stays out of the distributions and win matrix.
 
 mod json;
 

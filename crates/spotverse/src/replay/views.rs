@@ -472,7 +472,9 @@ pub struct ReplayState {
 impl ReplayState {
     /// The cell for `key`, created on first touch.
     pub fn cell_mut(&mut self, key: &str) -> &mut CellState {
-        if let Some(i) = self.cells.iter().position(|(k, _)| k == key) {
+        // Searched newest-first: a merged trace's records arrive cell by
+        // cell, so the cell being folded is almost always the last one.
+        if let Some(i) = self.cells.iter().rposition(|(k, _)| k == key) {
             return &mut self.cells[i].1;
         }
         self.cells.push((key.to_owned(), CellState::default()));
@@ -488,14 +490,20 @@ impl ReplayState {
     /// Folds one parsed line, honouring the time window. Truncation
     /// markers are always folded (they carry no timestamp).
     pub fn fold_line(&mut self, line: &TraceLine, window: TimeWindow) {
+        self.fold_keyed(line.cell().unwrap_or(""), line, window);
+    }
+
+    /// [`ReplayState::fold_line`] into the cell keyed `key`, whatever the
+    /// line's own `cell`.
+    pub(crate) fn fold_keyed(&mut self, key: &str, line: &TraceLine, window: TimeWindow) {
         match line {
-            TraceLine::Record { cell, record } => {
+            TraceLine::Record { record, .. } => {
                 if window.contains(record.at) {
-                    self.cell_mut(cell.as_deref().unwrap_or("")).fold(record);
+                    self.cell_mut(key).fold(record);
                 }
             }
-            TraceLine::Truncated { cell, dropped } => {
-                let state = self.cell_mut(cell.as_deref().unwrap_or(""));
+            TraceLine::Truncated { dropped, .. } => {
+                let state = self.cell_mut(key);
                 state.dropped = Some(state.dropped.unwrap_or(0) + dropped);
             }
         }

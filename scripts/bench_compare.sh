@@ -3,7 +3,8 @@
 # baselines in scripts/bench_baselines/, failing on a >10% regression.
 #
 # Key conventions (see crates/bench/benches/*.rs):
-#   *_secs / *allocs_per_event  lower is better  -> fail if > 1.10x baseline
+#   *_secs / *allocs_per_event
+#   / *allocs_per_line          lower is better  -> fail if > 1.10x baseline
 #   *_per_sec / *_speedup       higher is better -> fail if < 0.90x baseline
 #   anything else (counters, core counts)        -> informational, skipped
 #
@@ -39,7 +40,7 @@ for current in BENCH_*.json; do
             continue
         fi
         case "$key" in
-        *_secs | *allocs_per_event) direction=lower ;;
+        *_secs | *allocs_per_event | *allocs_per_line) direction=lower ;;
         *_per_sec | *_speedup) direction=higher ;;
         *)
             compared=$((compared + 1))
