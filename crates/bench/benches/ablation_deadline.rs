@@ -16,7 +16,7 @@ use bio_workloads::WorkloadKind;
 use cloud_market::{InstanceType, Region, SpotMarket};
 use sim_kernel::{SimDuration, SimTime};
 use spotverse::{
-    run_experiment_on, DeadlineAwareStrategy, DeadlinePolicy, ExperimentReport,
+    run_fleet_on, DeadlineAwareStrategy, DeadlinePolicy, ExperimentReport,
     InitialPlacement, OnDemandStrategy, SpotVerseConfig, SpotVerseStrategy, Strategy,
 };
 use spotverse_bench::{bench_config, bench_fleet, header, section, BENCH_SEED};
@@ -76,7 +76,7 @@ fn main() {
             ("on-demand", Box::new(OnDemandStrategy::new())),
         ];
         for (label, strategy) in strategies {
-            let report = run_experiment_on(Arc::clone(&market), config.clone(), strategy);
+            let report = run_fleet_on(Arc::clone(&market), config.clone(), strategy).aggregate;
             let on_time = on_time_fraction(&report, deadline);
             println!(
                 "  {:<10} {:<20} {:>8.0}% {:>10} {:>8}",

@@ -9,7 +9,7 @@ use bio_workloads::{workload_fleet, WorkloadKind};
 use cloud_market::{InstanceType, Region, SpotMarket};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    normalized_cost, run_experiment_on, Monitor, OnDemandStrategy, Optimizer, SpotVerseConfig,
+    normalized_cost, run_fleet_on, Monitor, OnDemandStrategy, Optimizer, SpotVerseConfig,
     SpotVerseStrategy,
 };
 use spotverse_bench::{bench_config, header, paper_vs_measured, section, BENCH_SEED};
@@ -96,16 +96,15 @@ fn main() {
     println!("\n  {:<10} {:>10} {:>10} {:>10}", "duration", "T=4", "T=5", "T=6");
     let mut grid: Vec<(u64, Vec<f64>)> = Vec::new();
     for duration in [5u64, 10, 20] {
-        let workloads = fleet(duration);
-        let mut config = base.clone();
-        config.workloads = workloads;
+        let config = bench_config(BENCH_SEED, InstanceType::M5Xlarge, fleet(duration), START_DAY);
         // On-demand reference: same fleet on the cheapest on-demand
         // instances.
-        let od_report = run_experiment_on(
+        let od_report = run_fleet_on(
             Arc::clone(&market),
             config.clone(),
             Box::new(OnDemandStrategy::new()),
-        );
+        )
+        .aggregate;
         let mut row = Vec::new();
         for threshold in [4u8, 5, 6] {
             let strategy = SpotVerseStrategy::new(
@@ -114,7 +113,7 @@ fn main() {
                     .build(),
             );
             let report =
-                run_experiment_on(Arc::clone(&market), config.clone(), Box::new(strategy));
+                run_fleet_on(Arc::clone(&market), config.clone(), Box::new(strategy)).aggregate;
             row.push(normalized_cost(&report, od_report.cost.total));
         }
         println!(

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bio_workloads::WorkloadKind;
 use cloud_market::{InstanceType, Region, SpotMarket};
 use spotverse::{
-    compare, run_experiment_on, ExperimentReport, NaiveMultiRegionStrategy,
+    compare, run_fleet_on, ExperimentReport, NaiveMultiRegionStrategy,
     SingleRegionStrategy, Strategy,
 };
 use spotverse_bench::{bench_config, bench_fleet, header, hours, paper_vs_measured, pct, section, BENCH_SEED};
@@ -29,7 +29,7 @@ fn run(kind: WorkloadKind, strategy: Box<dyn Strategy>, market: &Arc<SpotMarket>
         bench_fleet(kind, 42, BENCH_SEED),
         start_day(kind),
     );
-    run_experiment_on(Arc::clone(market), config, strategy)
+    run_fleet_on(Arc::clone(market), config, strategy).aggregate
 }
 
 fn main() {

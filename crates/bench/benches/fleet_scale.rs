@@ -1,10 +1,9 @@
 //! Fleet-scale throughput: drives `run_fleet` over generated Poisson
 //! fleets at 1k/5k/10k/25k workloads on one shared market, recording
 //! workloads/sec, events/sec, and heap allocations per delivered event —
-//! plus the measured win from the snapshot-epoch assessment cache and the
-//! trace replay rate (lines/sec, allocations per line) of a traced 1k
-//! fleet — into `BENCH_fleet.json` at the repo root for regression
-//! tracking.
+//! plus a per-phase breakdown and the trace replay rate (lines/sec,
+//! allocations per line) of a traced 1k fleet — into `BENCH_fleet.json`
+//! at the repo root for regression tracking.
 //!
 //! The per-event allocation count comes from a counting wrapper around
 //! the system allocator installed for this whole binary; it is the
@@ -32,13 +31,7 @@ fn strategy() -> Box<SpotVerseStrategy> {
 
 /// Runs one generated fleet and returns (best wall secs, allocations
 /// during the best-timed rep's run, report).
-fn run_scale(
-    market: &Arc<SpotMarket>,
-    n: usize,
-    reps: usize,
-    reuse_snapshot: bool,
-    monitor_pipeline: bool,
-) -> (f64, u64, FleetReport) {
+fn run_scale(market: &Arc<SpotMarket>, n: usize, reps: usize) -> (f64, u64, FleetReport) {
     // Arrival rate scales with fleet size so the arrival window stays a
     // ~12-hour working day at every scale; throughput then measures the
     // engine, not an ever-longer simulated horizon.
@@ -47,9 +40,7 @@ fn run_scale(
     let mut best_allocs = u64::MAX;
     let mut out = None;
     for _ in 0..reps {
-        let mut config = profile.generate(BENCH_SEED, n, InstanceType::M5Xlarge);
-        config.reuse_decision_snapshot = reuse_snapshot;
-        config.monitor_pipeline = monitor_pipeline;
+        let config = profile.generate(BENCH_SEED, n, InstanceType::M5Xlarge);
         let allocs_before = CountingAlloc::allocations();
         let t = Instant::now();
         let report = run_fleet_on(Arc::clone(market), config, strategy());
@@ -76,7 +67,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut allocs_per_event_10k = 0.0;
     for &(n, reps) in &[(1_000usize, 5usize), (5_000, 3), (10_000, 2), (25_000, 1)] {
-        let (secs, allocs, report) = run_scale(&market, n, reps, true, true);
+        let (secs, allocs, report) = run_scale(&market, n, reps);
         let wps = n as f64 / secs;
         let eps = report.events as f64 / secs;
         let ape = allocs as f64 / report.events as f64;
@@ -94,29 +85,12 @@ fn main() {
         rows.push((n, secs, wps, eps));
     }
 
-    // -- snapshot-epoch assessment cache: ablation at 1k ------------------
-    // Same fleet, same market; the only difference is whether optimizer
-    // assessments are re-parsed from the KV store per decision or served
-    // from the per-collection-epoch cache. Reports must be identical —
-    // the cache is an optimization, not a semantic knob.
-    section("assessment snapshot reuse (5k fleet, cache off vs on)");
-    let (fresh_secs, _, fresh_report) = run_scale(&market, 5_000, 3, false, true);
-    let (cached_secs, _, cached_report) = run_scale(&market, 5_000, 3, true, true);
-    assert_eq!(
-        fresh_report, cached_report,
-        "snapshot cache must be observationally identical"
-    );
-    let reuse_speedup = fresh_secs / cached_secs;
-    println!("  cache off {fresh_secs:>8.3} s");
-    println!("  cache on  {cached_secs:>8.3} s   ({reuse_speedup:.2}x)");
-
     // -- per-phase breakdown -----------------------------------------------
-    // Four separately-timed phases so a regression names its layer:
-    // eager market construction, the event loop with the Monitor→KV
-    // pipeline bypassed (dispatch core), the full pipeline run (the
-    // ablation's cache-on time, re-labelled), and trace export + replay
-    // fold of a traced 1k fleet.
-    section("per-phase breakdown (market build / dispatch / monitor / replay-export)");
+    // Three separately-timed phases so a regression names its layer:
+    // eager market construction, a 5k fleet run through the full
+    // Monitor→KV pipeline, and trace export + replay fold of a traced 1k
+    // fleet.
+    section("per-phase breakdown (market build / monitor / replay-export)");
     let mut market_build_secs = f64::INFINITY;
     for _ in 0..2 {
         let t = Instant::now();
@@ -124,8 +98,7 @@ fn main() {
         market_build_secs = market_build_secs.min(t.elapsed().as_secs_f64());
         std::hint::black_box(&eager);
     }
-    let (dispatch_secs, _, _) = run_scale(&market, 5_000, 2, true, false);
-    let monitor_secs = cached_secs;
+    let (monitor_secs, _, _) = run_scale(&market, 5_000, 3);
     let traced_report = {
         let profile = LoadProfile::poisson(1_000.0 / 12.0);
         let mut config = profile.generate(BENCH_SEED, 1_000, InstanceType::M5Xlarge);
@@ -158,7 +131,6 @@ fn main() {
     let replay_allocs_per_line = replay_allocs as f64 / replay_lines as f64;
     let replay_lines_per_sec = replay_lines as f64 / replay_secs;
     println!("  market build   {market_build_secs:>8.3} s   (eager 12-region construction)");
-    println!("  dispatch       {dispatch_secs:>8.3} s   (5k fleet, monitor pipeline off)");
     println!("  monitor        {monitor_secs:>8.3} s   (5k fleet, full Monitor→KV pipeline)");
     println!("  replay-export  {replay_export_secs:>8.3} s   (1k traced fleet → JSONL → replay)");
     println!(
@@ -176,11 +148,7 @@ fn main() {
     }
     json.push_str(&format!(
         "  \"allocs_per_event\": {allocs_per_event_10k:.3},\n  \
-         \"assessment_reuse_fresh_secs\": {fresh_secs:.6},\n  \
-         \"assessment_reuse_cached_secs\": {cached_secs:.6},\n  \
-         \"assessment_reuse_speedup\": {reuse_speedup:.3},\n  \
          \"phase_market_build_secs\": {market_build_secs:.6},\n  \
-         \"phase_dispatch_secs\": {dispatch_secs:.6},\n  \
          \"phase_monitor_secs\": {monitor_secs:.6},\n  \
          \"phase_replay_export_secs\": {replay_export_secs:.6},\n  \
          \"replay_allocs_per_line\": {replay_allocs_per_line:.3},\n  \

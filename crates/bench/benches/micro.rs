@@ -11,9 +11,9 @@ use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_compute::BillingLedger;
 use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket};
 use aws_stack::{FunctionRuntime, KvStore, MetricsService};
-use sim_kernel::{SimRng, SimTime};
+use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    run_experiment_on, ExperimentConfig, MarketCache, MigrationPolicy, Monitor, Optimizer,
+    run_fleet_on, FleetConfig, MarketCache, MigrationPolicy, Monitor, Optimizer,
     SingleRegionStrategy, SnapshotMemo, SpotVerseConfig,
 };
 
@@ -142,7 +142,7 @@ fn bench_interruption_sampling(c: &mut Criterion) {
 fn bench_experiment(c: &mut Criterion) {
     let rng = SimRng::seed_from_u64(11);
     let fleet = paper_fleet(WorkloadKind::GenomeReconstruction, 8, &rng);
-    let config = ExperimentConfig::new(11, InstanceType::M5Xlarge, fleet);
+    let config = FleetConfig::staggered(11, InstanceType::M5Xlarge, fleet, SimDuration::ZERO);
     let market = Arc::new(SpotMarket::new(config.market));
     let mut group = c.benchmark_group("experiment");
     group.sample_size(10);
@@ -150,11 +150,12 @@ fn bench_experiment(c: &mut Criterion) {
         b.iter_batched(
             || (Arc::clone(&market), config.clone()),
             |(market, config)| {
-                run_experiment_on(
+                run_fleet_on(
                     market,
                     config,
                     Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
                 )
+                .aggregate
             },
             BatchSize::SmallInput,
         );

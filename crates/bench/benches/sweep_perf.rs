@@ -11,9 +11,8 @@ use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket};
 use aws_stack::{FunctionRuntime, KvStore, MetricsService};
 use sim_kernel::SimTime;
 use spotverse::{
-    resolve_jobs, run_fleet_matrix, run_matrix_orchestrated, FleetConfig, FleetSweepCell,
-    MarketCache, Monitor, OrchestratorConfig, SnapshotMemo, SpotVerseConfig, SpotVerseStrategy,
-    Strategy,
+    resolve_jobs, run_fleet_matrix, run_matrix_orchestrated, FleetSweepCell, MarketCache,
+    Monitor, OrchestratorConfig, SnapshotMemo, SpotVerseConfig, SpotVerseStrategy, Strategy,
 };
 use spotverse_bench::{bench_config, bench_fleet, header, section, BENCH_SEED};
 
@@ -69,12 +68,12 @@ fn main() {
     // Fleet sized so per-cell simulation dominates the one shared market
     // build; speedup then tracks the worker count.
     section("chaos matrix throughput (3 strategies x 9 cells, one seed)");
-    let base = FleetConfig::from_experiment(&bench_config(
+    let base = bench_config(
         BENCH_SEED,
         InstanceType::M5Xlarge,
         bench_fleet(WorkloadKind::GenomeReconstruction, 240, BENCH_SEED),
         1,
-    ));
+    );
     let mut cells = Vec::new();
     for name in ["single-region", "skypilot", "spotverse"] {
         cells.push(FleetSweepCell::new(format!("{name}/fault-free"), name, base.clone()));

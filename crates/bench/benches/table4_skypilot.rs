@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bio_workloads::WorkloadKind;
 use cloud_market::{InstanceType, SpotMarket};
 use spotverse::{
-    compare, run_experiment_on, SkyPilotStrategy, SpotVerseConfig, SpotVerseStrategy,
+    compare, run_fleet_on, SkyPilotStrategy, SpotVerseConfig, SpotVerseStrategy,
 };
 use spotverse_bench::{bench_config, bench_fleet, header, hours, paper_vs_measured, section, BENCH_SEED};
 
@@ -23,18 +23,20 @@ fn main() {
     );
     let market = Arc::new(SpotMarket::new(config.market));
 
-    let spotverse = run_experiment_on(
+    let spotverse = run_fleet_on(
         Arc::clone(&market),
         config.clone(),
         Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
             InstanceType::M5Xlarge,
         ))),
-    );
-    let skypilot = run_experiment_on(
+    )
+    .aggregate;
+    let skypilot = run_fleet_on(
         Arc::clone(&market),
         config,
         Box::new(SkyPilotStrategy::new()),
-    );
+    )
+    .aggregate;
 
     section("table 4");
     paper_vs_measured("SpotVerse interruptions", "42", &spotverse.interruptions.to_string());

@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bio_workloads::{paper_fleet, WorkloadKind, WorkloadSpec};
 use cloud_market::InstanceType;
-use sim_kernel::{SimRng, SimTime};
-use spotverse::ExperimentConfig;
+use sim_kernel::{SimDuration, SimRng, SimTime};
+use spotverse::FleetConfig;
 
 /// Heap allocations observed by [`CountingAlloc`] since process start.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -82,14 +82,15 @@ pub fn bench_fleet(kind: WorkloadKind, n: usize, seed: u64) -> Vec<WorkloadSpec>
     paper_fleet(kind, n, &SimRng::seed_from_u64(seed))
 }
 
-/// A bench experiment config starting at `start_day` into the horizon.
+/// A bench run config starting at `start_day` into the horizon, with the
+/// whole fleet arriving at the start.
 pub fn bench_config(
     seed: u64,
     instance_type: InstanceType,
     workloads: Vec<WorkloadSpec>,
     start_day: u64,
-) -> ExperimentConfig {
-    let mut config = ExperimentConfig::new(seed, instance_type, workloads);
+) -> FleetConfig {
+    let mut config = FleetConfig::staggered(seed, instance_type, workloads, SimDuration::ZERO);
     config.start = SimTime::from_days(start_day);
     config
 }

@@ -3,7 +3,6 @@
 //! commands are unit-testable without capturing stdout).
 
 use std::fmt;
-use std::sync::Arc;
 
 use bio_workloads::{paper_fleet, WorkloadKind};
 use chaos::ChaosScenario;
@@ -11,9 +10,9 @@ use cloud_market::history::{archive_to_csv, collect_archive};
 use cloud_market::{InstanceType, MarketConfig, MarketRegime, Region, SpotMarket};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    merged_fleet_trace_jsonl, render_tournament, resolve_jobs, run_experiment_on,
-    run_fleet_matrix, run_matrix_orchestrated, run_tournament, summary_line, trace_to_jsonl,
-    BidPriceAwareStrategy, CheckpointAdaptiveStrategy, ExperimentConfig, ExperimentReport,
+    merged_fleet_trace_jsonl, render_tournament, resolve_jobs, run_fleet, run_fleet_matrix,
+    run_matrix_orchestrated, run_tournament, summary_line, trace_to_jsonl,
+    BidPriceAwareStrategy, CheckpointAdaptiveStrategy, ExperimentReport,
     FleetCellOutcome, FleetConfig, FleetReport, FleetSweepCell, LoadProfile, MarketCache, Monitor,
     NaiveMultiRegionStrategy, OnDemandStrategy, OrchestratorConfig, SingleRegionStrategy,
     SkyPilotStrategy, SpotVerseConfig, render_analysis, render_analysis_json, ReplayCursor,
@@ -215,7 +214,7 @@ fn parse_jobs(args: &ParsedArgs) -> Result<Option<usize>, CliError> {
 
 /// Shared experiment scaffolding from common flags.
 struct CommonConfig {
-    config: ExperimentConfig,
+    config: FleetConfig,
     instance_type: InstanceType,
 }
 
@@ -250,7 +249,8 @@ fn common_config(args: &ParsedArgs) -> Result<CommonConfig, CliError> {
     let kind = parse_workload(args.str_or("workload", "genome"))?;
     let start = parse_start_day(args)?;
     let rng = SimRng::seed_from_u64(seed);
-    let mut config = ExperimentConfig::new(seed, instance_type, paper_fleet(kind, instances, &rng));
+    let specs = paper_fleet(kind, instances, &rng);
+    let mut config = FleetConfig::staggered(seed, instance_type, specs, SimDuration::ZERO);
     config.start = start;
     config.market = config.market.with_regime(parse_regime(args)?);
     Ok(CommonConfig {
@@ -320,8 +320,7 @@ pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
         threshold,
         region,
     )?;
-    let market = Arc::new(SpotMarket::new(common.config.market));
-    let report = run_experiment_on(market, common.config, strategy);
+    let report = run_fleet(common.config, strategy).aggregate;
     Ok(render_report(&report))
 }
 
@@ -490,10 +489,9 @@ pub fn compare(args: &ParsedArgs) -> Result<String, CliError> {
     let region = parse_region(args.str_or("region", "ca-central-1"))?;
     let jobs_flag = parse_jobs(args)?;
     let names = ["single-region", "naive-multi", "skypilot", "spotverse", "on-demand"];
-    let config = FleetConfig::from_experiment(&common.config);
     let cells: Vec<FleetSweepCell> = names
         .iter()
-        .map(|name| FleetSweepCell::new(*name, *name, config.clone()))
+        .map(|name| FleetSweepCell::new(*name, *name, common.config.clone()))
         .collect();
     let cache = MarketCache::new();
     let jobs = resolve_jobs(jobs_flag, cells.len());
@@ -580,14 +578,13 @@ pub fn sweep(args: &ParsedArgs) -> Result<String, CliError> {
         for s in 0..seeds {
             let seed = base_seed + s;
             let rng = SimRng::seed_from_u64(seed);
-            let mut config =
-                ExperimentConfig::new(seed, instance_type, paper_fleet(kind, instances, &rng));
+            let specs = paper_fleet(kind, instances, &rng);
+            let mut config = FleetConfig::staggered(seed, instance_type, specs, SimDuration::ZERO);
             config.start = start;
             config.market = config.market.with_regime(regime);
             if output == "trace" {
                 config.trace = TraceConfig::enabled();
             }
-            let config = FleetConfig::from_experiment(&config);
             cells.push(FleetSweepCell::new(format!("{name}/s{seed}"), *name, config));
         }
     }
@@ -750,7 +747,7 @@ pub fn chaos_matrix(args: &ParsedArgs) -> Result<String, CliError> {
     // by one cell per scenario. All cells share one cached market — chaos
     // faults overlay on the read path and never mutate the base market.
     let group = 1 + scenarios.len();
-    let base = FleetConfig::from_experiment(&common.config);
+    let base = &common.config;
     let mut cells: Vec<FleetSweepCell> = Vec::with_capacity(strategies.len() * group);
     for name in &strategies {
         cells.push(FleetSweepCell::new(format!("{name}/fault-free"), *name, base.clone()));
@@ -918,8 +915,7 @@ pub fn trace(args: &ParsedArgs) -> Result<String, CliError> {
         common.config.chaos = Some(scenario);
     }
     common.config.trace = TraceConfig::enabled();
-    let market = Arc::new(SpotMarket::new(common.config.market));
-    let report = run_experiment_on(market, common.config, strategy);
+    let report = run_fleet(common.config, strategy).aggregate;
     let run_trace = report.trace.expect("tracing was enabled for this run");
     Ok(trace_to_jsonl(&run_trace))
 }

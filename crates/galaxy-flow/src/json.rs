@@ -82,6 +82,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -204,16 +205,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| {
-                        JsonError {
-                            message: "invalid UTF-8".into(),
-                            offset: self.pos,
-                        }
-                    })?;
-                    let ch = rest.chars().next().expect("non-empty checked above");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // slice. Both delimiters are ASCII and `pos` only ever
+                    // advances past whole characters, so the run starts
+                    // and ends on char boundaries of the `&str` input.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -280,6 +281,7 @@ impl<'a> Parser<'a> {
 /// Returns a [`JsonError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut parser = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -406,6 +408,16 @@ mod tests {
     fn unicode_passthrough() {
         let parsed = parse("\"héllo 🌍\"").unwrap();
         assert_eq!(parsed.as_str(), Some("héllo 🌍"));
+    }
+
+    #[test]
+    fn multibyte_characters_next_to_escapes_and_quotes() {
+        // Multi-byte characters right before an escape, right after one,
+        // and right before the closing quote.
+        let parsed = parse(r#"{"é\n€": "🚀\"ü\u00e9ß"}"#).unwrap();
+        assert_eq!(parsed.get("é\n€").and_then(Json::as_str), Some("🚀\"üéß"));
+        assert_eq!(parse(&write(&parsed)).unwrap(), parsed);
+        assert!(parse("\"open é").is_err());
     }
 
     #[test]

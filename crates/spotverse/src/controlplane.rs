@@ -46,7 +46,6 @@ pub struct ControlPlane {
     pub(crate) metrics: MetricsService,
     pub(crate) monitor: Monitor,
     pub(crate) monitor_memo: SnapshotMemo,
-    pub(crate) monitor_pipeline: bool,
     pub(crate) telemetry_ttl: SimDuration,
     pub(crate) checkpoint_backend: CheckpointBackend,
     pub(crate) chaos: Option<ChaosEngine>,
@@ -59,24 +58,18 @@ pub struct ControlPlane {
     pub(crate) collect_failing: bool,
     pub(crate) degraded_since: Option<SimTime>,
     pub(crate) tracer: Tracer,
-    /// Serve decisions from one parsed snapshot per collection epoch
-    /// instead of re-scanning and re-parsing the KV rows per decision.
-    /// The underlying scan is unbilled and side-effect-free, so the two
-    /// modes are observationally identical; `false` is the ablation arm
-    /// the `fleet_scale` bench measures against.
-    pub(crate) snapshot_reuse: bool,
     /// The parsed snapshot for the current collection epoch: assessments
-    /// in catalog order plus the oldest `collected_at` stamp. Cleared by
-    /// every collection attempt that could have touched the rows. Shared
-    /// by `Arc` so serving a decision is a refcount bump, not a per-
-    /// decision `Vec` clone.
+    /// in catalog order plus the oldest `collected_at` stamp. Every
+    /// decision in the epoch is served from this one read of the KV rows.
+    /// Cleared by every collection attempt that could have touched the
+    /// rows. Shared by `Arc` so serving a decision is a refcount bump,
+    /// not a per-decision `Vec` clone.
     pub(crate) snapshot_cache: Option<(Arc<[RegionAssessment]>, SimTime)>,
 }
 
 impl std::fmt::Debug for ControlPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ControlPlane")
-            .field("monitor_pipeline", &self.monitor_pipeline)
             .field("checkpoint_backend", &self.checkpoint_backend)
             .field("chaos", &self.chaos.is_some())
             .finish_non_exhaustive()
@@ -95,7 +88,6 @@ impl ControlPlane {
         market: Arc<SpotMarket>,
         instance_type: InstanceType,
         seed: u64,
-        monitor_pipeline: bool,
         checkpoint_backend: CheckpointBackend,
         health: &HealthConfig,
         trace: &TraceConfig,
@@ -117,7 +109,6 @@ impl ControlPlane {
             metrics: MetricsService::new(Region::UsEast1),
             monitor: Monitor::new(instance_type, Region::UsEast1),
             monitor_memo: SnapshotMemo::new(),
-            monitor_pipeline,
             telemetry_ttl: health.telemetry_ttl,
             checkpoint_backend,
             chaos,
@@ -130,7 +121,6 @@ impl ControlPlane {
             collect_failing: false,
             degraded_since: None,
             tracer: Tracer::new(trace),
-            snapshot_reuse: true,
             snapshot_cache: None,
         };
 
@@ -163,76 +153,44 @@ impl ControlPlane {
 
     /// Current optimizer inputs plus whether the decision must *degrade*.
     ///
-    /// With the pipeline enabled, the Monitor's latest persisted snapshot
-    /// is served as long as it is within the telemetry TTL; while
-    /// collection is failing, each such serve is a counted *stale serve*
-    /// of last-good data. Past the TTL the snapshot is still returned but
-    /// flagged degraded: the caller places cheapest-on-demand instead of
-    /// trusting expired metrics. Without the pipeline (or before the
-    /// first snapshot) decisions read the market directly — either way
-    /// they observe it *through* any active fault overlay.
+    /// The Monitor's latest persisted snapshot is served as long as it is
+    /// within the telemetry TTL; while collection is failing, each such
+    /// serve is a counted *stale serve* of last-good data. Past the TTL
+    /// the snapshot is still returned but flagged degraded: the caller
+    /// places cheapest-on-demand instead of trusting expired metrics.
+    /// Before the first snapshot, decisions read the market directly.
+    /// Either way they observe it *through* any active fault overlay.
+    ///
+    /// Every decision sharing a snapshot epoch reuses one parsed read.
+    /// The rows only change when a collection runs, which clears the
+    /// cache, so this serves the exact values a per-decision read of the
+    /// KV rows would.
     pub(crate) fn decision_inputs(&mut self, now: SimTime) -> (Arc<[RegionAssessment]>, bool) {
-        if self.monitor_pipeline {
-            let ttl = self.telemetry_ttl;
-            if self.snapshot_reuse {
-                // Batched assessment: every decision sharing a snapshot
-                // epoch reuses one parsed read. The rows only change when
-                // a collection runs, which clears the cache, so this
-                // serves the exact values the per-decision scan would.
-                if self.snapshot_cache.is_none() {
-                    self.snapshot_cache = self
-                        .monitor
-                        .read_snapshot(&self.kv)
-                        .ok()
-                        .map(|(rows, at)| (rows.into(), at));
-                }
-                if let Some((rows, collected_at)) = &self.snapshot_cache {
-                    let snapshot = Arc::clone(rows);
-                    let age = now.saturating_duration_since(*collected_at);
-                    if age <= ttl {
-                        if self.collect_failing {
-                            self.freshness.stale_serves += 1;
-                            self.freshness.max_staleness = self.freshness.max_staleness.max(age);
-                            self.tracer.record(now, TraceEvent::StaleServe { age });
-                        }
-                        return (snapshot, false);
-                    }
-                    self.freshness.degraded_decisions += 1;
+        if self.snapshot_cache.is_none() {
+            self.snapshot_cache = self
+                .monitor
+                .read_snapshot(&self.kv)
+                .ok()
+                .map(|(rows, at)| (rows.into(), at));
+        }
+        if let Some((rows, collected_at)) = &self.snapshot_cache {
+            let snapshot = Arc::clone(rows);
+            let age = now.saturating_duration_since(*collected_at);
+            if age <= self.telemetry_ttl {
+                if self.collect_failing {
+                    self.freshness.stale_serves += 1;
                     self.freshness.max_staleness = self.freshness.max_staleness.max(age);
-                    if self.degraded_since.is_none() {
-                        self.degraded_since = Some(now);
-                    }
-                    self.tracer.record(now, TraceEvent::DegradedDecision { age });
-                    return (snapshot, true);
+                    self.tracer.record(now, TraceEvent::StaleServe { age });
                 }
-                // No snapshot yet: fall through to the fresh market read,
-                // exactly like the uncached NoSnapshot path.
-            } else {
-                match self.monitor.assessments_no_older_than(&self.kv, now, ttl) {
-                    Ok((snapshot, age)) => {
-                        if self.collect_failing {
-                            self.freshness.stale_serves += 1;
-                            self.freshness.max_staleness = self.freshness.max_staleness.max(age);
-                            self.tracer.record(now, TraceEvent::StaleServe { age });
-                        }
-                        return (snapshot.into(), false);
-                    }
-                    Err(MonitorError::Stale { .. }) => {
-                        if let Ok((snapshot, age)) =
-                            self.monitor.latest_assessments_with_age(&self.kv, now)
-                        {
-                            self.freshness.degraded_decisions += 1;
-                            self.freshness.max_staleness = self.freshness.max_staleness.max(age);
-                            if self.degraded_since.is_none() {
-                                self.degraded_since = Some(now);
-                            }
-                            self.tracer.record(now, TraceEvent::DegradedDecision { age });
-                            return (snapshot.into(), true);
-                        }
-                    }
-                    Err(_) => {}
-                }
+                return (snapshot, false);
             }
+            self.freshness.degraded_decisions += 1;
+            self.freshness.max_staleness = self.freshness.max_staleness.max(age);
+            if self.degraded_since.is_none() {
+                self.degraded_since = Some(now);
+            }
+            self.tracer.record(now, TraceEvent::DegradedDecision { age });
+            return (snapshot, true);
         }
         let overlay = self.chaos.as_ref().map(|c| c.overlay());
         let snapshot = self
@@ -324,4 +282,125 @@ pub(crate) fn cheapest_on_demand(assessments: &[RegionAssessment]) -> Region {
         })
         .expect("assessments cover at least one region")
         .region
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chaos::{ChaosScenario, FaultDirective};
+    use cloud_market::MarketConfig;
+
+    /// The per-decision snapshot read the epoch cache replaces: the KV
+    /// rows re-read and re-parsed at every decision, bounded by the TTL,
+    /// falling back to the overlay-observed market before the first
+    /// snapshot. Returns the rows, the degraded flag, and the counter
+    /// that decision bumps (stale serve, degraded decision, or neither)
+    /// with the snapshot age it records.
+    fn oracle(cp: &ControlPlane, now: SimTime) -> (Vec<RegionAssessment>, bool, Bump) {
+        match cp.monitor.assessments_no_older_than(&cp.kv, now, cp.telemetry_ttl) {
+            Ok((rows, age)) => {
+                let bump = if cp.collect_failing { Bump::Stale(age) } else { Bump::None };
+                return (rows, false, bump);
+            }
+            Err(MonitorError::Stale { .. }) => {
+                let (rows, age) = cp.monitor.latest_assessments_with_age(&cp.kv, now).unwrap();
+                return (rows, true, Bump::Degraded(age));
+            }
+            Err(_) => {}
+        }
+        let overlay = cp.chaos.as_ref().map(|c| c.overlay());
+        let rows = cp.monitor.fresh_assessments_with_overlay(&cp.market, overlay, now).unwrap();
+        (rows, false, Bump::None)
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Bump {
+        None,
+        Stale(SimDuration),
+        Degraded(SimDuration),
+    }
+
+    #[test]
+    fn cached_decision_inputs_match_a_per_decision_read() {
+        let seed = 41;
+        let start = SimTime::from_days(1);
+        // A full control-plane blackout longer than the 2 h TTL (stale
+        // serves, then degraded decisions), then a flaky window whose
+        // failing collections persist some rows before the fault.
+        let scenario = ChaosScenario::new("blackout_then_flaky")
+            .with(FaultDirective::ControlPlaneDegradation {
+                from: SimDuration::from_hours(1),
+                until: SimDuration::from_hours(5),
+                throttle_probability: 1.0,
+                added_latency: SimDuration::ZERO,
+            })
+            .with(FaultDirective::ControlPlaneDegradation {
+                from: SimDuration::from_hours(6),
+                until: SimDuration::from_hours(9),
+                throttle_probability: 0.3,
+                added_latency: SimDuration::ZERO,
+            });
+        let market = Arc::new(SpotMarket::new(MarketConfig::with_seed(seed)));
+        let mut cp = ControlPlane::new(
+            market,
+            InstanceType::M5Xlarge,
+            seed,
+            CheckpointBackend::ObjectStore,
+            &HealthConfig::default(),
+            &TraceConfig::default(),
+            Some(ChaosEngine::new(&scenario, seed, start)),
+            &SimRng::seed_from_u64(seed),
+        );
+
+        let (mut fresh, mut reused, mut failed) = (0, 0, 0);
+        let (mut stale, mut degraded) = (0u64, 0u64);
+        let mut max_staleness = SimDuration::ZERO;
+        let mut check = |cp: &mut ControlPlane, now: SimTime| {
+            let (rows, expect_degraded, bump) = oracle(cp, now);
+            let (served, is_degraded) = cp.decision_inputs(now);
+            assert_eq!(&served[..], &rows[..], "rows at {now:?}");
+            assert_eq!(is_degraded, expect_degraded, "degraded flag at {now:?}");
+            match bump {
+                Bump::None => {}
+                Bump::Stale(age) => {
+                    stale += 1;
+                    max_staleness = max_staleness.max(age);
+                }
+                Bump::Degraded(age) => {
+                    degraded += 1;
+                    max_staleness = max_staleness.max(age);
+                }
+            }
+            assert_eq!(cp.freshness.stale_serves, stale, "stale serves at {now:?}");
+            assert_eq!(cp.freshness.degraded_decisions, degraded, "degraded at {now:?}");
+            assert_eq!(cp.freshness.max_staleness, max_staleness, "max staleness at {now:?}");
+        };
+
+        // Before the first collection: the overlay-observed market.
+        check(&mut cp, start);
+        for tick in 0..56u64 {
+            let at = start + SimDuration::from_mins(15 * tick);
+            match cp.run_monitor_collection(at) {
+                Ok(CollectOutcome::Fresh(_)) => {
+                    fresh += 1;
+                    cp.note_collection_success(at);
+                }
+                Ok(CollectOutcome::Reused) => {
+                    reused += 1;
+                    cp.note_collection_success(at);
+                }
+                Err(_) => {
+                    failed += 1;
+                    cp.note_collection_failure();
+                }
+            }
+            // Decisions inside the epoch: at the tick, and twice more
+            // before the next one.
+            for offset in [0, 1, 14] {
+                check(&mut cp, at + SimDuration::from_mins(offset));
+            }
+        }
+        assert!(fresh > 0 && reused > 0 && failed > 0, "{fresh} {reused} {failed}");
+        assert!(stale > 0 && degraded > 0, "{stale} {degraded}");
+    }
 }

@@ -1,35 +1,22 @@
-//! The experiment engine: runs a fleet of workloads under a placement
-//! strategy against the simulated cloud, reproducing the paper's
-//! measurement loop.
+//! The run report and the Controller's shared names.
 //!
-//! The engine embodies SpotVerse's **Controller** (paper §3.2, §4):
-//!
-//! * it launches initial instances per the strategy's placements,
-//! * open (unfulfilled) spot requests are retried on a 15-minute sweep,
-//! * a two-minute interruption notice precedes every reclaim; checkpoint
-//!   workloads upload their progress (KV record + working set to the
-//!   object store) inside the notice window,
-//! * on reclaim, the interruption-handler function runs and the strategy
-//!   chooses the relaunch target,
-//! * the Monitor collects market metrics on a periodic schedule so
-//!   SpotVerse decides from *observed* data.
-//!
-//! Everything bills into one ledger; the report reproduces the paper's
-//! metrics: completion times, interruption counts and their regional
-//! distribution, and the full cost breakdown.
+//! [`ExperimentReport`] reproduces the paper's metrics (§5.1.2):
+//! completion times, interruption counts and their regional
+//! distribution, and the full cost breakdown. The Controller that
+//! produces it (paper §3.2, §4) is the fleet engine,
+//! [`run_fleet`](crate::fleet::run_fleet): it launches initial instances
+//! per the strategy's placements, retries open spot requests on a
+//! 15-minute sweep, uploads checkpoints inside the two-minute
+//! interruption notice, relaunches through the interruption-handler
+//! function, and decides from the Monitor's persisted snapshot.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use bio_workloads::WorkloadSpec;
-use chaos::ChaosScenario;
-use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket, Usd};
-use sim_kernel::{SimDuration, SimTime, TimeSeries};
+use cloud_market::{Region, Usd};
+use sim_kernel::{SimDuration, TimeSeries};
 
-use crate::fleet::FleetConfig;
-use crate::health::{HealthConfig, ResilienceTelemetry};
-use crate::strategy::Strategy;
-use crate::trace::{RunTrace, TraceConfig};
+use crate::health::ResilienceTelemetry;
+use crate::trace::RunTrace;
 
 /// Name of the interruption-handler function (paper §4).
 pub const INTERRUPTION_HANDLER: &str = "spotverse-interruption-handler";
@@ -47,64 +34,6 @@ pub enum CheckpointBackend {
 }
 /// Bucket holding checkpoints and activity logs.
 pub const LOG_BUCKET: &str = "spotverse-logs";
-
-/// Experiment configuration.
-#[derive(Debug, Clone)]
-pub struct ExperimentConfig {
-    /// Master seed (market + all decision streams fork from it).
-    pub seed: u64,
-    /// Market build parameters.
-    pub market: MarketConfig,
-    /// The instance type every workload runs on.
-    pub instance_type: InstanceType,
-    /// The fleet.
-    pub workloads: Vec<WorkloadSpec>,
-    /// When the fleet starts (offset into the market horizon).
-    pub start: SimTime,
-    /// Monitor collection period (default 15 minutes).
-    pub monitor_period: SimDuration,
-    /// Open-request retry sweep interval (the paper's 15 minutes).
-    pub retry_interval: SimDuration,
-    /// Hard deadline after `start`; workloads still unfinished then are
-    /// reported as incomplete.
-    pub max_runtime: SimDuration,
-    /// Route optimizer inputs through the Monitor→KV snapshot pipeline
-    /// (true reproduces the paper's architecture; false reads the market
-    /// directly).
-    pub monitor_pipeline: bool,
-    /// Where checkpoint working sets are persisted.
-    pub checkpoint_backend: CheckpointBackend,
-    /// Optional fault-injection scenario, compiled against `seed` and
-    /// `start`. `None` runs fault-free.
-    pub chaos: Option<ChaosScenario>,
-    /// Resilience control plane tuning: breaker policy and telemetry TTL.
-    pub health: HealthConfig,
-    /// Decision-trace recording (off by default; purely observational, so
-    /// enabling it changes no other report field).
-    pub trace: TraceConfig,
-}
-
-impl ExperimentConfig {
-    /// A standard configuration: monitor pipeline on, 15-minute sweeps,
-    /// 30-day guard, start at day 1 of the market horizon.
-    pub fn new(seed: u64, instance_type: InstanceType, workloads: Vec<WorkloadSpec>) -> Self {
-        ExperimentConfig {
-            seed,
-            market: MarketConfig::with_seed(seed),
-            instance_type,
-            workloads,
-            start: SimTime::from_days(1),
-            monitor_period: SimDuration::from_mins(15),
-            retry_interval: SimDuration::from_mins(15),
-            max_runtime: SimDuration::from_days(30),
-            monitor_pipeline: true,
-            checkpoint_backend: CheckpointBackend::ObjectStore,
-            chaos: None,
-            health: HealthConfig::default(),
-            trace: TraceConfig::default(),
-        }
-    }
-}
 
 /// The cost breakdown the paper's cost model reports (§5.1.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,7 +105,8 @@ pub struct ExperimentReport {
     /// Region-health control plane counters (breakers, staleness,
     /// degraded placement). All zeros on a fault-free run.
     pub resilience: ResilienceTelemetry,
-    /// The decision trace, when [`ExperimentConfig::trace`] enabled it.
+    /// The decision trace, when [`FleetConfig::trace`](crate::fleet::FleetConfig::trace)
+    /// enabled it.
     pub trace: Option<RunTrace>,
 }
 
@@ -190,62 +120,35 @@ impl ExperimentReport {
     }
 }
 
-/// Runs one experiment, building a fresh market from the config.
-pub fn run_experiment(config: ExperimentConfig, strategy: Box<dyn Strategy>) -> ExperimentReport {
-    let market = Arc::new(SpotMarket::new(config.market));
-    run_experiment_on(market, config, strategy)
-}
-
-/// Runs one experiment against a shared market, so several strategies can
-/// be compared on the identical market trajectory.
-///
-/// This is the degenerate case of the fleet engine
-/// ([`run_fleet_on`](crate::fleet::run_fleet_on)): every workload arrives
-/// at the start and no capacity cap applies, which reproduces the
-/// original single-experiment Controller event-for-event.
-///
-/// # Panics
-///
-/// Panics if the market was built from a different [`MarketConfig`] than
-/// the experiment's, or if the fleet is empty.
-pub fn run_experiment_on(
-    market: Arc<SpotMarket>,
-    config: ExperimentConfig,
-    strategy: Box<dyn Strategy>,
-) -> ExperimentReport {
-    assert_eq!(
-        market.config(),
-        config.market,
-        "shared market must match the experiment's market config"
-    );
-    assert!(!config.workloads.is_empty(), "empty workload fleet");
-    crate::fleet::run_fleet_on(market, FleetConfig::from_experiment(&config), strategy).aggregate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use bio_workloads::{paper_fleet, WorkloadKind};
-    use cloud_market::Region;
+    use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket};
     use sim_kernel::SimRng;
 
     use crate::config::{InitialPlacement, SpotVerseConfig};
-    use crate::trace::{DecisionKind, TraceEvent};
+    use crate::fleet::{run_fleet, run_fleet_on, FleetConfig};
+    use crate::replay::{replay_str, TimeWindow};
     use crate::strategy::{
         OnDemandStrategy, SingleRegionStrategy, SpotVerseStrategy,
     };
+    use crate::trace::{trace_to_jsonl, DecisionKind, TraceConfig, TraceEvent};
 
-    fn small_fleet(kind: WorkloadKind, n: usize, seed: u64) -> ExperimentConfig {
+    fn small_fleet(kind: WorkloadKind, n: usize, seed: u64) -> FleetConfig {
         let rng = SimRng::seed_from_u64(seed);
         let fleet = paper_fleet(kind, n, &rng);
-        ExperimentConfig::new(seed, InstanceType::M5Xlarge, fleet)
+        FleetConfig::staggered(seed, InstanceType::M5Xlarge, fleet, SimDuration::ZERO)
     }
 
     #[test]
     fn on_demand_fleet_completes_exactly_on_time() {
         let config = small_fleet(WorkloadKind::GenomeReconstruction, 5, 11);
-        let durations: Vec<SimDuration> = config.workloads.iter().map(|w| w.duration).collect();
-        let report = run_experiment(config, Box::new(OnDemandStrategy::new()));
+        let durations: Vec<SimDuration> =
+            config.workloads.iter().map(|w| w.spec.duration).collect();
+        let report = run_fleet(config, Box::new(OnDemandStrategy::new())).aggregate;
         assert_eq!(report.completed, 5);
         assert_eq!(report.interruptions, 0);
         assert_eq!(report.cost.spot_instances, Usd::ZERO);
@@ -259,10 +162,11 @@ mod tests {
     #[test]
     fn single_region_unstable_market_interrupts_and_recovers() {
         let config = small_fleet(WorkloadKind::GenomeReconstruction, 8, 12);
-        let report = run_experiment(
+        let report = run_fleet(
             config,
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
+        )
+        .aggregate;
         assert_eq!(report.completed, 8, "all workloads eventually finish");
         assert!(report.interruptions > 0, "ca-central-1 is interruption-prone");
         assert_eq!(
@@ -277,18 +181,20 @@ mod tests {
     #[test]
     fn spotverse_beats_single_region_on_interruptions() {
         let seed = 13;
-        let single = run_experiment(
+        let single = run_fleet(
             small_fleet(WorkloadKind::GenomeReconstruction, 20, seed),
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
-        let spotverse = run_experiment(
+        )
+        .aggregate;
+        let spotverse = run_fleet(
             small_fleet(WorkloadKind::GenomeReconstruction, 20, seed),
             Box::new(SpotVerseStrategy::new(
                 SpotVerseConfig::builder(InstanceType::M5Xlarge)
                     .initial_placement(InitialPlacement::SingleRegion(Region::CaCentral1))
                     .build(),
             )),
-        );
+        )
+        .aggregate;
         assert_eq!(spotverse.completed, 20);
         assert!(
             spotverse.interruptions < single.interruptions,
@@ -310,14 +216,16 @@ mod tests {
     #[test]
     fn checkpoint_workloads_lose_less_time_than_standard() {
         let seed = 14;
-        let standard = run_experiment(
+        let standard = run_fleet(
             small_fleet(WorkloadKind::GenomeReconstruction, 8, seed),
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
-        let checkpoint = run_experiment(
+        )
+        .aggregate;
+        let checkpoint = run_fleet(
             small_fleet(WorkloadKind::NgsPreprocessing, 8, seed),
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
+        )
+        .aggregate;
         assert_eq!(checkpoint.completed, 8);
         assert!(
             checkpoint.mean_completion < standard.mean_completion,
@@ -331,14 +239,16 @@ mod tests {
 
     #[test]
     fn identical_seeds_reproduce_identical_reports() {
-        let a = run_experiment(
+        let a = run_fleet(
             small_fleet(WorkloadKind::GenomeReconstruction, 6, 15),
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
-        let b = run_experiment(
+        )
+        .aggregate;
+        let b = run_fleet(
             small_fleet(WorkloadKind::GenomeReconstruction, 6, 15),
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
+        )
+        .aggregate;
         assert_eq!(a.interruptions, b.interruptions);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.cost.total, b.cost.total);
@@ -350,17 +260,18 @@ mod tests {
         let config = small_fleet(WorkloadKind::GenomeReconstruction, 2, 16);
         let other_market = Arc::new(SpotMarket::new(MarketConfig::with_seed(999)));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_experiment_on(other_market, config, Box::new(OnDemandStrategy::new()))
+            run_fleet_on(other_market, config, Box::new(OnDemandStrategy::new()))
         }));
         assert!(result.is_err());
     }
 
     #[test]
     fn cumulative_series_are_monotone() {
-        let report = run_experiment(
+        let report = run_fleet(
             small_fleet(WorkloadKind::GenomeReconstruction, 8, 17),
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
+        )
+        .aggregate;
         let values: Vec<f64> = report
             .cumulative_interruptions
             .iter()
@@ -379,10 +290,11 @@ mod tests {
         // Plenty of natural interruptions in ca-central-1, yet no chaos:
         // the breakers, staleness counters, and degraded mode must all
         // stay at zero.
-        let report = run_experiment(
+        let report = run_fleet(
             small_fleet(WorkloadKind::GenomeReconstruction, 8, 12),
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
+        )
+        .aggregate;
         assert!(report.interruptions > 0);
         assert_eq!(report.resilience, ResilienceTelemetry::default());
     }
@@ -390,22 +302,29 @@ mod tests {
     #[test]
     fn tracing_is_purely_observational() {
         let base = small_fleet(WorkloadKind::GenomeReconstruction, 5, 12);
-        let plain = run_experiment(
+        let plain = run_fleet(
             base.clone(),
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
+        )
+        .aggregate;
         let mut traced_cfg = base;
         traced_cfg.trace = TraceConfig::enabled();
-        let mut traced = run_experiment(
+        let mut traced = run_fleet(
             traced_cfg,
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
+        )
+        .aggregate;
         let trace = traced.trace.take().expect("tracing was enabled");
         assert!(plain.trace.is_none(), "tracing is off by default");
         assert_eq!(plain, traced, "tracing must not change any other report field");
         assert!(matches!(trace.events.first().unwrap().event, TraceEvent::RunStarted { .. }));
         assert!(matches!(trace.events.last().unwrap().event, TraceEvent::RunEnded { .. }));
-        assert_eq!(trace.stats.interruptions, traced.interruptions);
+        let replayed = replay_str(&trace_to_jsonl(&trace), TimeWindow::ALL).unwrap();
+        let ledger = &replayed.cells[0].1.ledger;
+        assert_eq!(
+            ledger.regions.iter().map(|r| r.interruptions).sum::<u64>(),
+            traced.interruptions
+        );
         assert_eq!(
             trace.count_matching(|e| matches!(e, TraceEvent::Interrupted { .. })),
             traced.interruptions
@@ -416,12 +335,13 @@ mod tests {
     fn traced_spotverse_decisions_carry_candidate_verdicts() {
         let mut config = small_fleet(WorkloadKind::GenomeReconstruction, 4, 13);
         config.trace = TraceConfig::enabled();
-        let report = run_experiment(
+        let report = run_fleet(
             config,
             Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
                 InstanceType::M5Xlarge,
             ))),
-        );
+        )
+        .aggregate;
         let trace = report.trace.expect("tracing was enabled");
         let initial = trace
             .events
@@ -450,10 +370,11 @@ mod tests {
 
     #[test]
     fn interruption_total_matches_regional_sum() {
-        let report = run_experiment(
+        let report = run_fleet(
             small_fleet(WorkloadKind::GenomeReconstruction, 10, 18),
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
+        )
+        .aggregate;
         let regional: u64 = report.interruptions_by_region.values().sum();
         assert_eq!(regional, report.interruptions);
     }

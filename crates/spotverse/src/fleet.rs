@@ -1,18 +1,14 @@
 //! The fleet event loop: N concurrent workloads multiplexed over one
 //! shared control plane.
 //!
-//! This is the engine behind both entry points:
-//!
-//! * [`run_experiment`](crate::experiment::run_experiment) runs the
-//!   degenerate fleet — every workload arrives at the start, no capacity
-//!   caps — and is **provably pure** against the pre-decomposition
-//!   controller: a fleet of N=1 (or N arriving together) reproduces the
-//!   single-workload `ExperimentReport` and golden traces byte-for-byte.
-//! * [`run_fleet`] exposes the general form: staggered arrival times,
-//!   per-workload deadlines, and per-region concurrent-instance capacity
-//!   caps enforced through the Optimizer's exclusion-slice paths (a full
-//!   region refills from the next-ranked candidate exactly like a
-//!   quarantined one).
+//! [`run_fleet`] and [`run_fleet_on`] are the only way to start a run.
+//! A [`FleetConfig`] carries staggered arrival times, per-workload
+//! deadlines, and optional per-region concurrent-instance capacity caps
+//! enforced through the Optimizer's exclusion-slice paths (a full region
+//! refills from the next-ranked candidate exactly like a quarantined
+//! one). The paper's single experiment is the degenerate fleet built by
+//! [`FleetConfig::staggered`] with zero spacing: every workload arrives
+//! at the start and no cap applies.
 //!
 //! Capacity semantics: a cap of `k` bounds the *running* instances per
 //! region (spot and on-demand alike; open spot requests reserve nothing).
@@ -34,9 +30,7 @@ use sim_kernel::{
 };
 
 use crate::controlplane::{cheapest_on_demand, ControlPlane};
-use crate::experiment::{
-    CostBreakdown, ExperimentConfig, ExperimentReport, INTERRUPTION_HANDLER, LOG_BUCKET,
-};
+use crate::experiment::{CostBreakdown, ExperimentReport, INTERRUPTION_HANDLER, LOG_BUCKET};
 use crate::optimizer::Placement;
 use crate::strategy::{Strategy, StrategyContext};
 use crate::trace::{DecisionKind, TraceEvent, Tracer};
@@ -74,7 +68,7 @@ impl Priority {
 }
 
 /// One workload's slot in a fleet: the spec plus its arrival offset.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetWorkload {
     /// The workload to run.
     pub spec: WorkloadSpec,
@@ -95,8 +89,8 @@ impl FleetWorkload {
     }
 }
 
-/// Fleet run configuration: the experiment knobs plus staggered arrivals
-/// and an optional per-region concurrency cap.
+/// Run configuration: the market, the fleet with its arrival offsets,
+/// the Controller's timing, and an optional per-region concurrency cap.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Master seed (market + all decision streams fork from it).
@@ -116,8 +110,6 @@ pub struct FleetConfig {
     /// Per-workload runtime budget: workload `w`'s deadline is
     /// `start + arrival(w) + max_runtime`.
     pub max_runtime: SimDuration,
-    /// Route optimizer inputs through the Monitor→KV snapshot pipeline.
-    pub monitor_pipeline: bool,
     /// Where checkpoint working sets are persisted.
     pub checkpoint_backend: crate::experiment::CheckpointBackend,
     /// Optional fault-injection scenario.
@@ -129,17 +121,12 @@ pub struct FleetConfig {
     /// Per-region cap on *concurrently running* instances (`None` =
     /// unbounded, the classic experiment behavior).
     pub region_capacity: Option<u32>,
-    /// Serve every decision within a snapshot epoch from one parsed
-    /// assessment read instead of re-scanning the Monitor's KV rows per
-    /// decision. Observationally identical either way (the underlying
-    /// scan is unbilled and side-effect-free); `false` exists as the
-    /// ablation arm for the `fleet_scale` bench.
-    pub reuse_decision_snapshot: bool,
 }
 
 impl FleetConfig {
-    /// A standard fleet configuration with the same defaults as
-    /// [`ExperimentConfig::new`].
+    /// A standard configuration: 15-minute Monitor and retry sweeps, a
+    /// 30-day per-workload budget, start at day 1 of the market horizon,
+    /// object-store checkpoints, no chaos, no tracing, no capacity cap.
     pub fn new(
         seed: u64,
         instance_type: cloud_market::InstanceType,
@@ -154,46 +141,17 @@ impl FleetConfig {
             monitor_period: SimDuration::from_mins(15),
             retry_interval: SimDuration::from_mins(15),
             max_runtime: SimDuration::from_days(30),
-            monitor_pipeline: true,
             checkpoint_backend: crate::experiment::CheckpointBackend::ObjectStore,
             chaos: None,
             health: crate::health::HealthConfig::default(),
             trace: crate::trace::TraceConfig::default(),
             region_capacity: None,
-            reuse_decision_snapshot: true,
-        }
-    }
-
-    /// The degenerate fleet equivalent of a classic experiment: every
-    /// workload arrives at the start, no capacity cap. Running this
-    /// through [`run_fleet_on`] reproduces
-    /// [`run_experiment_on`](crate::experiment::run_experiment_on)
-    /// byte-for-byte.
-    pub fn from_experiment(config: &ExperimentConfig) -> Self {
-        FleetConfig {
-            seed: config.seed,
-            market: config.market,
-            instance_type: config.instance_type,
-            workloads: config
-                .workloads
-                .iter()
-                .map(|spec| FleetWorkload::new(spec.clone(), SimDuration::ZERO))
-                .collect(),
-            start: config.start,
-            monitor_period: config.monitor_period,
-            retry_interval: config.retry_interval,
-            max_runtime: config.max_runtime,
-            monitor_pipeline: config.monitor_pipeline,
-            checkpoint_backend: config.checkpoint_backend,
-            chaos: config.chaos.clone(),
-            health: config.health.clone(),
-            trace: config.trace,
-            region_capacity: None,
-            reuse_decision_snapshot: true,
         }
     }
 
     /// Evenly staggered arrivals: workload `i` arrives at `i * spacing`.
+    /// Zero spacing is the paper's experiment: the whole fleet arrives at
+    /// the start.
     pub fn staggered(
         seed: u64,
         instance_type: cloud_market::InstanceType,
@@ -1027,18 +985,16 @@ pub fn run_fleet_on(
         .chaos
         .as_ref()
         .map(|scenario| ChaosEngine::new(scenario, config.seed, config.start));
-    let mut cp = ControlPlane::new(
+    let cp = ControlPlane::new(
         Arc::clone(&market),
         config.instance_type,
         config.seed,
-        config.monitor_pipeline,
         config.checkpoint_backend,
         &config.health,
         &config.trace,
         chaos_engine,
         &root_rng,
     );
-    cp.snapshot_reuse = config.reuse_decision_snapshot;
 
     let start = config.start;
     let workloads: Vec<WorkloadRuntime> = config
@@ -1112,7 +1068,7 @@ pub fn run_fleet_on(
         final_time,
         TraceEvent::RunEnded { completed: model.completed, aborted: model.aborted },
     );
-    let trace = std::mem::replace(&mut model.cp.tracer, Tracer::disabled()).finish(start);
+    let trace = std::mem::replace(&mut model.cp.tracer, Tracer::disabled()).finish();
     let resilience = model.cp.resilience();
 
     // Assemble the aggregate report.

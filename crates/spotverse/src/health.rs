@@ -345,7 +345,7 @@ pub struct ResilienceTelemetry {
 }
 
 /// Resilience-plane configuration carried by
-/// [`ExperimentConfig`](crate::ExperimentConfig).
+/// [`FleetConfig`](crate::FleetConfig).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthConfig {
     /// Breaker tuning.

@@ -16,7 +16,7 @@
 //!   price-sorted top-R region selection with round-robin initial
 //!   placement, random-among-top-R migration, and a cheapest-on-demand
 //!   fallback,
-//! * **Controller** (the experiment engine, [`run_experiment`]) — launches, 15-minute
+//! * **Controller** (the fleet engine, [`run_fleet`]) — launches, 15-minute
 //!   open-request sweeps, two-minute-notice checkpointing, and
 //!   interruption-handler relaunches.
 //!
@@ -29,16 +29,15 @@
 //! ```
 //! use bio_workloads::{paper_fleet, WorkloadKind};
 //! use cloud_market::InstanceType;
-//! use sim_kernel::SimRng;
-//! use spotverse::{
-//!     run_experiment, ExperimentConfig, SpotVerseConfig, SpotVerseStrategy,
-//! };
+//! use sim_kernel::{SimDuration, SimRng};
+//! use spotverse::{run_fleet, FleetConfig, SpotVerseConfig, SpotVerseStrategy};
 //!
 //! let rng = SimRng::seed_from_u64(42);
 //! let fleet = paper_fleet(WorkloadKind::GenomeReconstruction, 4, &rng);
-//! let config = ExperimentConfig::new(42, InstanceType::M5Xlarge, fleet);
+//! // Zero spacing: the whole fleet arrives at the start, as in the paper.
+//! let config = FleetConfig::staggered(42, InstanceType::M5Xlarge, fleet, SimDuration::ZERO);
 //! let strategy = SpotVerseStrategy::new(SpotVerseConfig::paper_default(InstanceType::M5Xlarge));
-//! let report = run_experiment(config, Box::new(strategy));
+//! let report = run_fleet(config, Box::new(strategy)).aggregate;
 //! assert_eq!(report.completed, 4);
 //! ```
 
@@ -72,8 +71,8 @@ pub use checkpointing::{KvCheckpointStore, CHECKPOINT_TABLE};
 pub use config::{InitialPlacement, SpotVerseConfig, SpotVerseConfigBuilder};
 pub use controlplane::ControlPlane;
 pub use experiment::{
-    run_experiment, run_experiment_on, CheckpointBackend, CheckpointTelemetry, CostBreakdown,
-    ExperimentConfig, ExperimentReport, INTERRUPTION_HANDLER, LOG_BUCKET,
+    CheckpointBackend, CheckpointTelemetry, CostBreakdown, ExperimentReport,
+    INTERRUPTION_HANDLER, LOG_BUCKET,
 };
 pub use fleet::{run_fleet, run_fleet_on, FleetConfig, FleetReport, FleetWorkload, Priority};
 pub use loadgen::{ArrivalProcess, LoadProfile, TenantClass, WorkloadMix};
@@ -117,7 +116,7 @@ pub use tournament::{
 };
 pub use trace::{
     append_record_json, append_trace_jsonl, trace_to_jsonl, DecisionKind, RunTrace, TraceConfig,
-    TraceEvent, TraceRecord, TraceStats, Tracer,
+    TraceEvent, TraceRecord, Tracer,
 };
 pub use strategy::{
     AblatedSpotVerseStrategy, BidPriceAwareStrategy, CheckpointAdaptiveStrategy,

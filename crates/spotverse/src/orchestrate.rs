@@ -700,7 +700,7 @@ impl<'a> Orchestrator<'a> {
             outcomes,
             dead_letters,
             stats,
-            trace: self.tracer.finish(SimTime::ZERO),
+            trace: self.tracer.finish(),
         }
     }
 }
@@ -799,10 +799,10 @@ fn shard_payload(outcomes: &[FleetCellOutcome]) -> String {
 mod tests {
     use super::*;
     use crate::sweep::run_fleet_matrix;
-    use crate::{ExperimentConfig, FleetConfig, SpotVerseConfig, SpotVerseStrategy};
+    use crate::{FleetConfig, SpotVerseConfig, SpotVerseStrategy};
     use bio_workloads::{paper_fleet, WorkloadKind};
     use cloud_market::InstanceType;
-    use sim_kernel::SimRng;
+    use sim_kernel::{SimDuration, SimRng};
 
     fn small_cells(n: usize) -> Vec<FleetSweepCell> {
         (0..n)
@@ -810,12 +810,9 @@ mod tests {
                 let seed = 2024 + i as u64;
                 let rng = SimRng::seed_from_u64(seed);
                 let fleet = paper_fleet(WorkloadKind::GenomeReconstruction, 2, &rng);
-                let config = ExperimentConfig::new(seed, InstanceType::M5Xlarge, fleet);
-                FleetSweepCell::new(
-                    format!("cell-{i}"),
-                    "spotverse",
-                    FleetConfig::from_experiment(&config),
-                )
+                let config =
+                    FleetConfig::staggered(seed, InstanceType::M5Xlarge, fleet, SimDuration::ZERO);
+                FleetSweepCell::new(format!("cell-{i}"), "spotverse", config)
             })
             .collect()
     }

@@ -3,7 +3,7 @@
 //! The paper repeats every experiment three times "to account for potential
 //! cloud performance and pricing variations" (§5.1.2). Here each repetition
 //! re-seeds both the market and the decision streams; each repetition is
-//! a fleet-of-one sweep cell ([`FleetConfig::from_experiment`]) run
+//! a sweep cell over a re-seeded copy of the base [`FleetConfig`] run
 //! through [`run_fleet_matrix`], so repetitions ride the bounded worker
 //! pool and share markets through a [`MarketCache`] whenever their
 //! configs coincide.
@@ -11,7 +11,7 @@
 use cloud_market::MarketConfig;
 use sim_kernel::RunningStats;
 
-use crate::experiment::{ExperimentConfig, ExperimentReport};
+use crate::experiment::ExperimentReport;
 use crate::fleet::FleetConfig;
 use crate::strategy::Strategy;
 use crate::sweep::{resolve_jobs, run_fleet_matrix, FleetSweepCell, MarketCache};
@@ -63,9 +63,9 @@ impl AggregateReport {
 
 /// The configuration for repetition `rep` of a base experiment: market and
 /// decision seeds are offset deterministically.
-pub fn repetition_config(base: &ExperimentConfig, rep: u32) -> ExperimentConfig {
+pub fn repetition_config(base: &FleetConfig, rep: u32) -> FleetConfig {
     let seed = base.seed.wrapping_add(u64::from(rep).wrapping_mul(0x9E37_79B9));
-    ExperimentConfig {
+    FleetConfig {
         seed,
         market: MarketConfig {
             seed,
@@ -80,9 +80,9 @@ pub fn repetition_config(base: &ExperimentConfig, rep: u32) -> ExperimentConfig 
 /// only the decision streams (strategy, backoff, compute RNGs) re-seed.
 /// Sweeps built this way sample strategy variance on one price history —
 /// and perform exactly one market construction through a [`MarketCache`].
-pub fn repetition_config_shared_market(base: &ExperimentConfig, rep: u32) -> ExperimentConfig {
+pub fn repetition_config_shared_market(base: &FleetConfig, rep: u32) -> FleetConfig {
     let seed = base.seed.wrapping_add(u64::from(rep).wrapping_mul(0x9E37_79B9));
-    ExperimentConfig {
+    FleetConfig {
         seed,
         market: base.market,
         workloads: base.workloads.clone(),
@@ -115,7 +115,7 @@ pub enum RepetitionMarket {
 ///
 /// Panics if `reps` is zero or any repetition cell fails.
 pub fn run_repetitions<F>(
-    base: &ExperimentConfig,
+    base: &FleetConfig,
     strategy_factory: F,
     reps: u32,
     market: RepetitionMarket,
@@ -130,8 +130,7 @@ where
     };
     let cells: Vec<FleetSweepCell> = (0..reps)
         .map(|r| {
-            let config = FleetConfig::from_experiment(&per_rep(base, r));
-            FleetSweepCell::new(format!("rep-{r}"), String::new(), config)
+            FleetSweepCell::new(format!("rep-{r}"), String::new(), per_rep(base, r))
         })
         .collect();
     let cache = MarketCache::new();
@@ -150,16 +149,17 @@ mod tests {
     use super::*;
     use bio_workloads::{paper_fleet, WorkloadKind};
     use cloud_market::{InstanceType, Region};
-    use sim_kernel::SimRng;
+    use sim_kernel::{SimDuration, SimRng};
 
     use crate::strategy::SingleRegionStrategy;
 
-    fn base(n: usize, seed: u64) -> ExperimentConfig {
+    fn base(n: usize, seed: u64) -> FleetConfig {
         let rng = SimRng::seed_from_u64(seed);
-        ExperimentConfig::new(
+        FleetConfig::staggered(
             seed,
             InstanceType::M5Xlarge,
             paper_fleet(WorkloadKind::GenomeReconstruction, n, &rng),
+            SimDuration::ZERO,
         )
     }
 

@@ -202,6 +202,7 @@ fn render_cell(out: &mut String, key: &str, cell: &CellState) {
     // confident figure.
     let lossy = truncated(cell);
     let completed = if lossy { "unknown".to_owned() } else { s.completed.to_string() };
+    let ge = if lossy { "≥" } else { "" };
     let _ = writeln!(
         out,
         "  run: strategy={strategy} seed={seed} chaos={chaos}{regime} workloads={} completed={completed} aborted={}",
@@ -215,8 +216,7 @@ fn render_cell(out: &mut String, key: &str, cell: &CellState) {
     };
     let _ = writeln!(
         out,
-        "  outcome: billed={}${} makespan={makespan} decisions={} migrations={}",
-        if lossy { "≥" } else { "" },
+        "  outcome: billed={ge}${} makespan={makespan} decisions={} migrations={}",
         fmt_money(cell.ledger.billed_total()),
         s.decisions,
         s.migrations,
@@ -232,10 +232,12 @@ fn render_cell(out: &mut String, key: &str, cell: &CellState) {
         occ.deferred,
         occ.instance_seconds as f64 / 3600.0,
     );
+    // The per-region ledger of a truncated trace counts only the kept
+    // records, so every figure on it is a floor too.
     for (region, ledger) in cell.ledger.active() {
         let _ = writeln!(
             out,
-            "  region {:<14} spot={} od={} intr={} done={} exp={} billed=${}",
+            "  region {:<14} spot={ge}{} od={ge}{} intr={ge}{} done={ge}{} exp={ge}{} billed={ge}${}",
             region.name(),
             ledger.spot_launches,
             ledger.on_demand_launches,
@@ -248,7 +250,7 @@ fn render_cell(out: &mut String, key: &str, cell: &CellState) {
     if cell.ledger.unattributed_billed != 0.0 {
         let _ = writeln!(
             out,
-            "  region (unattributed) billed=${}",
+            "  region (unattributed) billed={ge}${}",
             fmt_money(cell.ledger.unattributed_billed)
         );
     }

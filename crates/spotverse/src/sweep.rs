@@ -5,8 +5,8 @@
 //! same fleet run cell-by-cell under varying strategies, fault scenarios,
 //! or repetition seeds. There is one cell type, [`FleetSweepCell`]: a
 //! labelled [`FleetConfig`], so staggered, capacity-capped and generated
-//! fleets sweep exactly like a classic experiment, which is the fleet of
-//! one built by [`FleetConfig::from_experiment`].
+//! fleets sweep exactly like a classic experiment, which is the fleet
+//! built by [`FleetConfig::staggered`] with zero spacing.
 //!
 //! Cells share nothing mutable, so they parallelize perfectly; what they
 //! *can* share is the market: building a 12-region precomputed
@@ -124,7 +124,7 @@ fn resolve_jobs_from(explicit: Option<usize>, env: Option<usize>, cells: usize) 
 
 /// One cell of a sweep matrix: a labelled [`FleetConfig`] and the
 /// strategy selector the matrix's factory keys on. A classic experiment
-/// is the fleet of one built by [`FleetConfig::from_experiment`].
+/// is the fleet built by [`FleetConfig::staggered`] with zero spacing.
 #[derive(Debug, Clone)]
 pub struct FleetSweepCell {
     /// Display label (e.g. `"spotverse/region_blackout"`).
@@ -354,18 +354,18 @@ mod tests {
     use super::*;
     use bio_workloads::{paper_fleet, WorkloadKind};
     use cloud_market::{InstanceType, Region};
-    use sim_kernel::SimRng;
+    use sim_kernel::{SimDuration, SimRng};
 
-    use crate::experiment::ExperimentConfig;
     use crate::strategy::SingleRegionStrategy;
 
     fn config(seed: u64, n: usize) -> FleetConfig {
         let rng = SimRng::seed_from_u64(seed);
-        FleetConfig::from_experiment(&ExperimentConfig::new(
+        FleetConfig::staggered(
             seed,
             InstanceType::M5Xlarge,
             paper_fleet(WorkloadKind::GenomeReconstruction, n, &rng),
-        ))
+            SimDuration::ZERO,
+        )
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Integration tests for the extension features: the EFS checkpoint
 //! backend, the forecasting strategy, provider-degraded metrics, and
-//! ablated migration policies — each run through the full experiment
-//! engine.
+//! ablated migration policies — each run through the full fleet engine.
 
 use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::{InstanceType, Region, Usd};
-use sim_kernel::{SimRng, SimTime};
+use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    run_experiment, AblatedSpotVerseStrategy, CheckpointBackend, ExperimentConfig,
+    run_fleet, AblatedSpotVerseStrategy, CheckpointBackend, FleetConfig,
     ForecastingSpotVerseStrategy, MetricAvailability, MigrationPolicy, ProviderAdaptedStrategy,
     SingleRegionStrategy, SpotVerseConfig, SpotVerseStrategy,
 };
 
-fn config(kind: WorkloadKind, n: usize, seed: u64, start_day: u64) -> ExperimentConfig {
+fn config(kind: WorkloadKind, n: usize, seed: u64, start_day: u64) -> FleetConfig {
     let rng = SimRng::seed_from_u64(seed);
-    let mut c = ExperimentConfig::new(seed, InstanceType::M5Xlarge, paper_fleet(kind, n, &rng));
+    let specs = paper_fleet(kind, n, &rng);
+    let mut c = FleetConfig::staggered(seed, InstanceType::M5Xlarge, specs, SimDuration::ZERO);
     c.start = SimTime::from_days(start_day);
     c
 }
@@ -23,10 +23,11 @@ fn config(kind: WorkloadKind, n: usize, seed: u64, start_day: u64) -> Experiment
 fn efs_backend_completes_checkpoint_fleets() {
     let mut base = config(WorkloadKind::NgsPreprocessing, 6, 301, 40);
     base.checkpoint_backend = CheckpointBackend::SharedFileSystem;
-    let report = run_experiment(
+    let report = run_fleet(
         base,
         Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-    );
+    )
+    .aggregate;
     assert_eq!(report.completed, 6);
     // EFS storage accrual shows up in shared services.
     if report.interruptions > 0 {
@@ -40,14 +41,16 @@ fn efs_and_s3_backends_agree_on_progress_semantics() {
     s3_config.checkpoint_backend = CheckpointBackend::ObjectStore;
     let mut efs_config = s3_config.clone();
     efs_config.checkpoint_backend = CheckpointBackend::SharedFileSystem;
-    let s3 = run_experiment(
+    let s3 = run_fleet(
         s3_config,
         Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-    );
-    let efs = run_experiment(
+    )
+    .aggregate;
+    let efs = run_fleet(
         efs_config,
         Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-    );
+    )
+    .aggregate;
     // Identical seeds → identical market and interruption pattern; the
     // backend only changes IO latency and storage fees.
     assert_eq!(s3.interruptions, efs.interruptions);
@@ -57,12 +60,13 @@ fn efs_and_s3_backends_agree_on_progress_semantics() {
 #[test]
 fn forecasting_strategy_runs_a_full_fleet() {
     let base = config(WorkloadKind::GenomeReconstruction, 6, 303, 1);
-    let report = run_experiment(
+    let report = run_fleet(
         base,
         Box::new(ForecastingSpotVerseStrategy::new(
             SpotVerseConfig::paper_default(InstanceType::M5Xlarge),
         )),
-    );
+    )
+    .aggregate;
     assert_eq!(report.completed, 6);
     assert_eq!(report.strategy, "spotverse-forecast");
 }
@@ -70,20 +74,22 @@ fn forecasting_strategy_runs_a_full_fleet() {
 #[test]
 fn provider_degraded_strategies_complete_and_rank_sensibly() {
     let base = config(WorkloadKind::GenomeReconstruction, 10, 304, 1);
-    let full = run_experiment(
+    let full = run_fleet(
         base.clone(),
         Box::new(ProviderAdaptedStrategy::new(
             SpotVerseConfig::builder(InstanceType::M5Xlarge).threshold(6).build(),
             MetricAvailability::Full,
         )),
-    );
-    let gcp = run_experiment(
+    )
+    .aggregate;
+    let gcp = run_fleet(
         base,
         Box::new(ProviderAdaptedStrategy::new(
             SpotVerseConfig::builder(InstanceType::M5Xlarge).threshold(7).build(),
             MetricAvailability::PriceOnly,
         )),
-    );
+    )
+    .aggregate;
     assert_eq!(full.completed, 10);
     assert_eq!(gcp.completed, 10);
     assert!(
@@ -99,10 +105,11 @@ fn stay_put_ablation_keeps_interruptions_in_one_region() {
     let base = config(WorkloadKind::GenomeReconstruction, 6, 305, 1);
     let mut cfg = SpotVerseConfig::builder(InstanceType::M5Xlarge);
     cfg = cfg.initial_placement(spotverse::InitialPlacement::SingleRegion(Region::CaCentral1));
-    let report = run_experiment(
+    let report = run_fleet(
         base,
         Box::new(AblatedSpotVerseStrategy::new(cfg.build(), MigrationPolicy::StayPut)),
-    );
+    )
+    .aggregate;
     assert_eq!(report.completed, 6);
     // Every launch and interruption stays in the start region.
     assert!(report
@@ -117,17 +124,19 @@ fn low_placement_market_still_converges_via_retries() {
     // fulfill probability 0.55; requests frequently stay open and the
     // 15-minute sweep must carry the fleet to completion anyway.
     let rng = SimRng::seed_from_u64(306);
-    let config = ExperimentConfig::new(
+    let config = FleetConfig::staggered(
         306,
         InstanceType::P32xlarge,
         paper_fleet(WorkloadKind::StandardGeneral, 6, &rng),
+        SimDuration::ZERO,
     );
-    let report = run_experiment(
+    let report = run_fleet(
         config,
         Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
             InstanceType::P32xlarge,
         ))),
-    );
+    )
+    .aggregate;
     assert_eq!(report.completed, 6);
     assert!(
         report.spot_attempts > report.spot_fulfillments,

@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::{InstanceType, Region, SpotMarket};
-use sim_kernel::SimRng;
+use sim_kernel::{SimDuration, SimRng};
 use spotverse::{
-    compare, run_experiment_on, summary_line, ExperimentConfig, InitialPlacement,
+    compare, run_fleet_on, summary_line, FleetConfig, InitialPlacement,
     OnDemandStrategy, SingleRegionStrategy, SpotVerseConfig, SpotVerseStrategy, Strategy,
 };
 
@@ -21,7 +21,7 @@ fn main() {
     let instance_type = InstanceType::M5Xlarge;
     let rng = SimRng::seed_from_u64(seed);
     let fleet = paper_fleet(WorkloadKind::GenomeReconstruction, 40, &rng);
-    let config = ExperimentConfig::new(seed, instance_type, fleet);
+    let config = FleetConfig::staggered(seed, instance_type, fleet, SimDuration::ZERO);
 
     // One shared market: every strategy sees the identical price and
     // interruption trajectory.
@@ -40,7 +40,7 @@ fn main() {
     println!("SpotVerse quickstart — 40 standard workloads, m5.xlarge, start ca-central-1\n");
     let mut reports = Vec::new();
     for strategy in strategies {
-        let report = run_experiment_on(Arc::clone(&market), config.clone(), strategy);
+        let report = run_fleet_on(Arc::clone(&market), config.clone(), strategy).aggregate;
         println!("{}", summary_line(&report));
         reports.push(report);
     }

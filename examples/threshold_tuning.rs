@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::{InstanceType, SpotMarket};
-use sim_kernel::{SimRng, SimTime};
+use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    normalized_cost, run_experiment_on, ExperimentConfig, OnDemandStrategy, SpotVerseConfig,
+    normalized_cost, run_fleet_on, FleetConfig, OnDemandStrategy, SpotVerseConfig,
     SpotVerseStrategy,
 };
 
@@ -21,16 +21,17 @@ fn main() {
     let instance_type = InstanceType::M5Xlarge;
     let rng = SimRng::seed_from_u64(seed);
     let fleet = paper_fleet(WorkloadKind::StandardGeneral, 20, &rng);
-    let mut config = ExperimentConfig::new(seed, instance_type, fleet);
+    let mut config = FleetConfig::staggered(seed, instance_type, fleet, SimDuration::ZERO);
     config.start = SimTime::from_days(60);
     let market = Arc::new(SpotMarket::new(config.market));
 
     // The on-demand reference everything is normalized against.
-    let od = run_experiment_on(
+    let od = run_fleet_on(
         Arc::clone(&market),
         config.clone(),
         Box::new(OnDemandStrategy::new()),
-    );
+    )
+    .aggregate;
     println!(
         "on-demand reference: {} for {} workloads\n",
         od.cost.total, od.workloads
@@ -46,7 +47,8 @@ fn main() {
                 .threshold(threshold)
                 .build(),
         );
-        let report = run_experiment_on(Arc::clone(&market), config.clone(), Box::new(strategy));
+        let report =
+            run_fleet_on(Arc::clone(&market), config.clone(), Box::new(strategy)).aggregate;
         let on_demand_used = report.cost.on_demand_instances > cloud_market::Usd::ZERO;
         println!(
             "{:<10} {:>14} {:>14.1} {:>12} {:>10.2} {:>18}",

@@ -2,8 +2,8 @@
 # Performance snapshot: the criterion micro benches plus the macro benches
 # that write BENCH_*.json at the repo root — sweep_perf (market-build time,
 # cells/sec serial vs parallel, monitor-tick rate, market-cache hit
-# counters) and fleet_scale (workloads/sec and events/sec at 1k/5k/10k,
-# assessment-snapshot-reuse ablation). Finishes by diffing the fresh
+# counters) and fleet_scale (workloads/sec and events/sec at 1k/5k/10k/25k,
+# per-phase breakdown, replay rate). Finishes by diffing the fresh
 # numbers against the committed baselines. Run from anywhere; operates on
 # the repo root.
 set -euo pipefail

@@ -86,6 +86,20 @@ for n, line in enumerate(sys.stdin, 1):
     exit 1
 fi
 
+echo "==> closed-pipe smoke: a reader that stops early ends the run quietly"
+pipe_err=$(mktemp)
+pipe_status=0
+cargo run --release --quiet --bin spotverse -- \
+    fleet --loadgen poisson --workloads 2000 --output trace 2>"$pipe_err" \
+    | head -n 1 >/dev/null || pipe_status=$?
+if [ "$pipe_status" -ne 0 ] || grep -q "panicked" "$pipe_err"; then
+    echo "==> closed-pipe smoke FAILED: status $pipe_status" >&2
+    cat "$pipe_err" >&2
+    rm -f "$pipe_err"
+    exit 1
+fi
+rm -f "$pipe_err"
+
 echo "==> orchestrated sweep smoke: fault-free byte-equivalence + chaos accounting"
 sweep_args=(sweep --instances 2 --workload ngs --strategy on-demand --seeds 2 --output trace)
 inproc_out=$(cargo run --release --quiet --bin spotverse -- "${sweep_args[@]}")

@@ -9,33 +9,26 @@ use std::sync::Arc;
 use bio_workloads::{paper_fleet, WorkloadKind};
 use chaos::ChaosScenario;
 use cloud_market::{InstanceType, SpotMarket};
-use sim_kernel::SimRng;
+use sim_kernel::{SimDuration, SimRng};
 use spotverse::{
-    run_experiment_on, ExperimentConfig, ExperimentReport, FleetConfig, FleetSweepCell,
-    SpotVerseConfig, SpotVerseStrategy, Strategy, TraceConfig,
+    run_fleet_on, ExperimentReport, FleetConfig, SpotVerseConfig, SpotVerseStrategy, Strategy,
+    TraceConfig,
 };
 
 /// A paper-shaped fleet configuration: `n` workloads of `kind` at `seed`,
-/// on the default market and instance type (m5.xlarge).
-pub fn fleet_config(kind: WorkloadKind, n: usize, seed: u64) -> ExperimentConfig {
+/// all arriving at the start, on the default market and instance type
+/// (m5.xlarge).
+pub fn fleet_config(kind: WorkloadKind, n: usize, seed: u64) -> FleetConfig {
     let rng = SimRng::seed_from_u64(seed);
-    ExperimentConfig::new(seed, InstanceType::M5Xlarge, paper_fleet(kind, n, &rng))
+    let specs = paper_fleet(kind, n, &rng);
+    FleetConfig::staggered(seed, InstanceType::M5Xlarge, specs, SimDuration::ZERO)
 }
 
 /// [`fleet_config`] with the decision-trace recorder switched on.
-pub fn traced_config(kind: WorkloadKind, n: usize, seed: u64) -> ExperimentConfig {
+pub fn traced_config(kind: WorkloadKind, n: usize, seed: u64) -> FleetConfig {
     let mut config = fleet_config(kind, n, seed);
     config.trace = TraceConfig::enabled();
     config
-}
-
-/// A sweep cell running the experiment `config` as a fleet of one.
-pub fn experiment_cell(
-    label: impl Into<String>,
-    strategy: impl Into<String>,
-    config: &ExperimentConfig,
-) -> FleetSweepCell {
-    FleetSweepCell::new(label, strategy, FleetConfig::from_experiment(config))
 }
 
 /// The paper-default SpotVerse strategy (threshold 6, m5.xlarge).
@@ -59,11 +52,11 @@ pub fn spotverse_with_threshold(threshold: u8) -> Box<dyn Strategy> {
 /// market construction.
 pub fn run_with(
     market: &Arc<SpotMarket>,
-    base: &ExperimentConfig,
+    base: &FleetConfig,
     scenario: Option<ChaosScenario>,
     strategy: Box<dyn Strategy>,
 ) -> ExperimentReport {
     let mut cfg = base.clone();
     cfg.chaos = scenario;
-    run_experiment_on(Arc::clone(market), cfg, strategy)
+    run_fleet_on(Arc::clone(market), cfg, strategy).aggregate
 }

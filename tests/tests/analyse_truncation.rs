@@ -9,7 +9,7 @@ use bio_workloads::WorkloadKind;
 use spotverse::replay::{strategy_distributions, win_matrix};
 use spotverse::{
     merged_fleet_trace_jsonl, render_analysis, render_analysis_json, replay_str, run_fleet_matrix,
-    FleetConfig, FleetSweepCell, MarketCache, OnDemandStrategy, Strategy, TimeWindow, TraceConfig,
+    FleetSweepCell, MarketCache, OnDemandStrategy, Strategy, TimeWindow, TraceConfig,
 };
 use spotverse_integration::{fleet_config, spotverse_strategy};
 
@@ -18,8 +18,7 @@ const CAPACITY: usize = 12;
 
 #[test]
 fn truncated_cells_report_unknowns_and_lower_bounds() {
-    let mut full =
-        FleetConfig::from_experiment(&fleet_config(WorkloadKind::NgsPreprocessing, 6, 41));
+    let mut full = fleet_config(WorkloadKind::NgsPreprocessing, 6, 41);
     full.trace = TraceConfig::enabled();
     let mut capped = full.clone();
     capped.trace = TraceConfig { enabled: true, capacity: CAPACITY };
@@ -57,6 +56,16 @@ fn truncated_cells_report_unknowns_and_lower_bounds() {
         "{capped_block}"
     );
     assert!(capped_block.contains(" makespan=unknown "), "{capped_block}");
+    // The per-region ledger lines are floors as well: every figure on
+    // them carries the marker.
+    let region_lines: Vec<&str> =
+        capped_block.lines().filter(|l| l.starts_with("  region ")).collect();
+    assert!(!region_lines.is_empty(), "{capped_block}");
+    for line in &region_lines {
+        for field in ["spot=≥", "od=≥", "intr=≥", "done=≥", "exp=≥", "billed=≥$"] {
+            assert!(line.contains(field), "{field} missing on {line:?}");
+        }
+    }
     for key in ["spotverse/s41", "on-demand/s41"] {
         let complete_block = block(key);
         assert!(!complete_block.contains("unknown") && !complete_block.contains('≥'));

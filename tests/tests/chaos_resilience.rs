@@ -14,10 +14,10 @@ use chaos::{
 use cloud_market::{Region, SpotMarket};
 use sim_kernel::SimDuration;
 use spotverse::{
-    resolve_jobs, run_fleet_matrix, MarketCache, NaiveMultiRegionStrategy, OnDemandStrategy,
-    ResilienceTelemetry, SingleRegionStrategy, SkyPilotStrategy, Strategy,
+    resolve_jobs, run_fleet_matrix, FleetSweepCell, MarketCache, NaiveMultiRegionStrategy,
+    OnDemandStrategy, ResilienceTelemetry, SingleRegionStrategy, SkyPilotStrategy, Strategy,
 };
-use spotverse_integration::{experiment_cell, fleet_config as config, run_with, spotverse_strategy};
+use spotverse_integration::{fleet_config as config, run_with, spotverse_strategy};
 
 /// Satellite (c): an NGS shard fleet under lost notices *and* a flaky
 /// checkpoint store. Zero-second notices tear in-flight checkpoint
@@ -185,7 +185,7 @@ fn every_scenario_yields_ok_reports_for_every_strategy() {
         for scenario in library() {
             let mut cfg = base.clone();
             cfg.chaos = Some(scenario.clone());
-            cells.push(experiment_cell(format!("{name}/{}", scenario.name()), name, &cfg));
+            cells.push(FleetSweepCell::new(format!("{name}/{}", scenario.name()), name, cfg));
         }
     }
     let cache = MarketCache::new();

@@ -10,7 +10,7 @@ use cloud_compute::{Ec2, Ec2Config, PurchaseModel, SpotRequestOutcome, Terminati
 use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    run_experiment, ExperimentConfig, MigrationPolicy, Monitor, Optimizer, SingleRegionStrategy,
+    run_fleet, FleetConfig, MigrationPolicy, Monitor, Optimizer, SingleRegionStrategy,
     SpotVerseConfig,
 };
 
@@ -135,11 +135,12 @@ proptest! {
             SimDuration::from_mins(30),
             &SimRng::seed_from_u64(seed),
         );
-        let config = ExperimentConfig::new(seed, InstanceType::M5Xlarge, fleet);
-        let report = run_experiment(
+        let config = FleetConfig::staggered(seed, InstanceType::M5Xlarge, fleet, SimDuration::ZERO);
+        let report = run_fleet(
             config,
             Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-        );
+        )
+        .aggregate;
         prop_assert_eq!(report.completed, n, "short workloads always finish in 30 days");
         let regional: u64 = report.interruptions_by_region.values().sum();
         prop_assert_eq!(regional, report.interruptions);

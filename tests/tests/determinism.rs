@@ -6,16 +6,17 @@ use cloud_market::history::{archive_to_csv, collect_archive};
 use cloud_market::{InstanceType, MarketConfig, Region, SpotMarket};
 use galaxy_flow::{from_ga_json, to_ga_json};
 use sim_kernel::{SimDuration, SimRng, SimTime};
-use spotverse::{run_experiment, ResilienceTelemetry};
+use spotverse::{run_fleet, ResilienceTelemetry};
 use spotverse_integration::{fleet_config, spotverse_strategy};
 
 #[test]
 fn full_experiment_reports_are_bit_identical() {
     let build = || {
-        run_experiment(
+        run_fleet(
             fleet_config(WorkloadKind::NgsPreprocessing, 8, 777),
             spotverse_strategy(),
         )
+        .aggregate
     };
     let a = build();
     let b = build();

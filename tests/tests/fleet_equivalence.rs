@@ -1,23 +1,12 @@
-//! Fleet ⇄ experiment equivalence: the purity contract behind the
-//! controller decomposition.
-//!
-//! The fleet event loop is the engine under `run_experiment`, so a
-//! degenerate fleet of one workload — built *field by field*, not through
-//! `FleetConfig::from_experiment` — must reproduce the classic
-//! single-controller report and decision trace byte-for-byte, for
-//! arbitrary seeds and strategies. The remaining tests pin down the
-//! fleet-only semantics: staggered-arrival determinism, per-region
+//! Fleet-only semantics: staggered-arrival determinism, per-region
 //! capacity caps, and per-workload deadline expiry.
-
-use proptest::prelude::*;
 
 use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::{InstanceType, Region};
 use sim_kernel::{SimDuration, SimRng};
 use spotverse::{
-    run_experiment, run_fleet, trace_to_jsonl, ExperimentConfig, FleetConfig, FleetWorkload,
-    NaiveMultiRegionStrategy, OnDemandStrategy, SingleRegionStrategy, SkyPilotStrategy,
-    SpotVerseConfig, SpotVerseStrategy, Strategy, TraceConfig, WorkloadPhase,
+    run_fleet, FleetConfig, NaiveMultiRegionStrategy, OnDemandStrategy, SingleRegionStrategy,
+    SkyPilotStrategy, SpotVerseConfig, SpotVerseStrategy, Strategy, WorkloadPhase,
 };
 
 /// One strategy per paper baseline, keyed by index so proptest can draw it.
@@ -30,69 +19,6 @@ fn strategy(idx: usize) -> Box<dyn Strategy> {
         2 => Box::new(OnDemandStrategy::new()),
         3 => Box::new(SkyPilotStrategy::new()),
         _ => Box::new(NaiveMultiRegionStrategy::paper_motivational()),
-    }
-}
-
-/// The fleet-of-one equivalent of an experiment, spelled out field by
-/// field: if a knob were missing or defaulted differently the proptest
-/// below would catch the divergence.
-fn fleet_of_one(config: &ExperimentConfig) -> FleetConfig {
-    FleetConfig {
-        seed: config.seed,
-        market: config.market,
-        instance_type: config.instance_type,
-        workloads: vec![FleetWorkload {
-            spec: config.workloads[0].clone(),
-            arrival: SimDuration::ZERO,
-            tenant: None,
-            priority: spotverse::Priority::Standard,
-        }],
-        start: config.start,
-        monitor_period: config.monitor_period,
-        retry_interval: config.retry_interval,
-        max_runtime: config.max_runtime,
-        monitor_pipeline: config.monitor_pipeline,
-        checkpoint_backend: config.checkpoint_backend,
-        chaos: config.chaos.clone(),
-        health: config.health.clone(),
-        trace: config.trace,
-        region_capacity: None,
-        reuse_decision_snapshot: true,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// A fleet of N=1 *is* the experiment: identical report (every field,
-    /// including the cost ledger and telemetry) and byte-identical
-    /// canonical JSONL trace, for arbitrary seeds, kinds, and strategies.
-    #[test]
-    fn fleet_of_one_reproduces_the_experiment(
-        seed in 0u64..500,
-        kind_idx in 0usize..3,
-        strat_idx in 0usize..5,
-    ) {
-        let kind = WorkloadKind::ALL[kind_idx];
-        let rng = SimRng::seed_from_u64(seed);
-        let mut config =
-            ExperimentConfig::new(seed, InstanceType::M5Xlarge, paper_fleet(kind, 1, &rng));
-        config.trace = TraceConfig::enabled();
-        let expected = run_experiment(config.clone(), strategy(strat_idx));
-        let fleet = run_fleet(fleet_of_one(&config), strategy(strat_idx));
-
-        prop_assert_eq!(&fleet.aggregate, &expected, "aggregate report must match");
-        let fleet_trace = trace_to_jsonl(fleet.aggregate.trace.as_ref().expect("traced"));
-        let experiment_trace = trace_to_jsonl(expected.trace.as_ref().expect("traced"));
-        prop_assert_eq!(fleet_trace, experiment_trace, "traces must be byte-identical");
-
-        // Fleet-only machinery must never engage on the degenerate path.
-        prop_assert_eq!(fleet.capacity_deferrals, 0);
-        prop_assert_eq!(fleet.expired, 0);
-        prop_assert_eq!(fleet.workloads.len(), 1);
-        let w = &fleet.workloads[0];
-        prop_assert_eq!(w.completed, expected.completed == 1);
-        prop_assert_eq!(w.interruptions, expected.interruptions);
     }
 }
 

@@ -7,14 +7,18 @@ use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::{InstanceType, Region, SpotMarket, Usd};
 use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    run_experiment, run_experiment_on, ExperimentConfig, NaiveMultiRegionStrategy,
-    OnDemandStrategy, SingleRegionStrategy, SkyPilotStrategy, SpotVerseConfig, SpotVerseStrategy,
-    Strategy,
+    run_fleet, run_fleet_on, FleetConfig, NaiveMultiRegionStrategy, OnDemandStrategy,
+    SingleRegionStrategy, SkyPilotStrategy, SpotVerseConfig, SpotVerseStrategy, Strategy,
 };
 
-fn config(kind: WorkloadKind, n: usize, seed: u64) -> ExperimentConfig {
+fn config(kind: WorkloadKind, n: usize, seed: u64) -> FleetConfig {
     let rng = SimRng::seed_from_u64(seed);
-    ExperimentConfig::new(seed, InstanceType::M5Xlarge, paper_fleet(kind, n, &rng))
+    FleetConfig::staggered(
+        seed,
+        InstanceType::M5Xlarge,
+        paper_fleet(kind, n, &rng),
+        SimDuration::ZERO,
+    )
 }
 
 #[test]
@@ -32,7 +36,7 @@ fn every_strategy_completes_the_fleet() {
     ];
     for strategy in strategies {
         let name = strategy.name().to_owned();
-        let report = run_experiment_on(Arc::clone(&market), base.clone(), strategy);
+        let report = run_fleet_on(Arc::clone(&market), base.clone(), strategy).aggregate;
         assert_eq!(report.completed, 6, "{name} left workloads unfinished");
         assert_eq!(report.completion_rate(), 1.0);
         assert!(report.cost.total > Usd::ZERO, "{name} spent nothing");
@@ -45,12 +49,13 @@ fn every_strategy_completes_the_fleet() {
 
 #[test]
 fn cost_breakdown_components_sum_to_total() {
-    let report = run_experiment(
+    let report = run_fleet(
         config(WorkloadKind::NgsPreprocessing, 5, 102),
         Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
             InstanceType::M5Xlarge,
         ))),
-    );
+    )
+    .aggregate;
     let sum = report.cost.spot_instances
         + report.cost.on_demand_instances
         + report.cost.data_transfer
@@ -63,39 +68,10 @@ fn cost_breakdown_components_sum_to_total() {
 }
 
 #[test]
-fn monitor_pipeline_and_direct_market_agree_qualitatively() {
-    // The Monitor's persisted snapshot is at most one period stale; both
-    // configurations must produce complete runs with similar spend.
-    let mut with_pipeline = config(WorkloadKind::GenomeReconstruction, 5, 103);
-    with_pipeline.monitor_pipeline = true;
-    let mut direct = with_pipeline.clone();
-    direct.monitor_pipeline = false;
-    let market = Arc::new(SpotMarket::new(with_pipeline.market));
-    let a = run_experiment_on(
-        Arc::clone(&market),
-        with_pipeline,
-        Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
-            InstanceType::M5Xlarge,
-        ))),
-    );
-    let b = run_experiment_on(
-        market,
-        direct,
-        Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
-            InstanceType::M5Xlarge,
-        ))),
-    );
-    assert_eq!(a.completed, 5);
-    assert_eq!(b.completed, 5);
-    let ratio = a.cost.total.amount() / b.cost.total.amount();
-    assert!((0.5..2.0).contains(&ratio), "costs diverged: {ratio}");
-}
-
-#[test]
 fn on_demand_is_deterministic_and_interruption_free() {
     let base = config(WorkloadKind::StandardGeneral, 8, 104);
-    let a = run_experiment(base.clone(), Box::new(OnDemandStrategy::new()));
-    let b = run_experiment(base, Box::new(OnDemandStrategy::new()));
+    let a = run_fleet(base.clone(), Box::new(OnDemandStrategy::new())).aggregate;
+    let b = run_fleet(base, Box::new(OnDemandStrategy::new())).aggregate;
     assert_eq!(a.interruptions, 0);
     assert_eq!(a.cost.total, b.cost.total);
     assert_eq!(a.makespan, b.makespan);
@@ -107,10 +83,11 @@ fn on_demand_is_deterministic_and_interruption_free() {
 
 #[test]
 fn spot_attempts_dominate_fulfillments() {
-    let report = run_experiment(
+    let report = run_fleet(
         config(WorkloadKind::GenomeReconstruction, 6, 105),
         Box::new(SingleRegionStrategy::new(Region::UsEast1)),
-    );
+    )
+    .aggregate;
     assert!(report.spot_attempts >= report.spot_fulfillments);
     // Every interruption implies a relaunch, so fulfillments strictly
     // exceed the fleet size whenever interruptions occurred.
@@ -123,10 +100,11 @@ fn spot_attempts_dominate_fulfillments() {
 fn deadline_guard_reports_incomplete_fleets() {
     let mut base = config(WorkloadKind::GenomeReconstruction, 4, 106);
     base.max_runtime = SimDuration::from_hours(2); // impossible: workloads need 10 h
-    let report = run_experiment(
+    let report = run_fleet(
         base,
         Box::new(SingleRegionStrategy::new(Region::CaCentral1)),
-    );
+    )
+    .aggregate;
     assert_eq!(report.completed, 0, "nothing can finish inside 2 h");
     assert!(report.completion_rate() < 1.0);
 }
@@ -135,29 +113,32 @@ fn deadline_guard_reports_incomplete_fleets() {
 fn experiments_starting_later_in_horizon_work() {
     let mut base = config(WorkloadKind::GenomeReconstruction, 4, 107);
     base.start = SimTime::from_days(150);
-    let report = run_experiment(
+    let report = run_fleet(
         base,
         Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
             InstanceType::M5Xlarge,
         ))),
-    );
+    )
+    .aggregate;
     assert_eq!(report.completed, 4);
 }
 
 #[test]
 fn p3_fleet_respects_regional_availability() {
     let rng = SimRng::seed_from_u64(108);
-    let config = ExperimentConfig::new(
+    let config = FleetConfig::staggered(
         108,
         InstanceType::P32xlarge,
         paper_fleet(WorkloadKind::StandardGeneral, 4, &rng),
+        SimDuration::ZERO,
     );
-    let report = run_experiment(
+    let report = run_fleet(
         config,
         Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
             InstanceType::P32xlarge,
         ))),
-    );
+    )
+    .aggregate;
     assert_eq!(report.completed, 4);
     for region in report.launches_by_region.keys() {
         assert!(

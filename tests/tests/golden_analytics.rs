@@ -18,7 +18,7 @@ use spotverse::{
     run_matrix_orchestrated, FleetSweepCell, MarketCache, OrchestratorConfig, TimeWindow,
     TraceConfig,
 };
-use spotverse_integration::{experiment_cell, spotverse_strategy, traced_config};
+use spotverse_integration::{spotverse_strategy, traced_config};
 
 fn golden_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden")
@@ -91,7 +91,7 @@ fn sweep_shard_chaos_analytics_match() {
     let cells: Vec<FleetSweepCell> = (0..4)
         .map(|i| {
             let config = traced_config(WorkloadKind::NgsPreprocessing, 2, 90 + i as u64);
-            experiment_cell(format!("cell-{i}"), "spotverse", &config)
+            FleetSweepCell::new(format!("cell-{i}"), "spotverse", config)
         })
         .collect();
     let cache = MarketCache::new();

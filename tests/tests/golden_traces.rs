@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::InstanceType;
 use sim_kernel::{SimDuration, SimRng};
-use spotverse::{run_experiment, run_fleet, trace_to_jsonl, FleetConfig, TraceConfig};
+use spotverse::{run_fleet, trace_to_jsonl, FleetConfig, TraceConfig};
 use spotverse_integration::{spotverse_with_threshold, traced_config};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -27,7 +27,7 @@ fn golden_path(name: &str) -> PathBuf {
 /// tiers.
 fn trace_at_threshold(threshold: u8) -> String {
     let config = traced_config(WorkloadKind::NgsPreprocessing, 3, 2024);
-    let report = run_experiment(config, spotverse_with_threshold(threshold));
+    let report = run_fleet(config, spotverse_with_threshold(threshold)).aggregate;
     trace_to_jsonl(report.trace.as_ref().expect("tracing was enabled"))
 }
 
@@ -87,7 +87,7 @@ fn spotverse_threshold_4_matches_golden() {
 fn spotverse_region_flap_matches_golden() {
     let mut config = traced_config(WorkloadKind::GenomeReconstruction, 10, 2024);
     config.chaos = Some(chaos::region_flap());
-    let report = run_experiment(config, spotverse_with_threshold(6));
+    let report = run_fleet(config, spotverse_with_threshold(6)).aggregate;
     let jsonl = trace_to_jsonl(report.trace.as_ref().expect("tracing was enabled"));
     assert!(jsonl.contains("\"event\":\"breaker\""), "flap golden must cover breaker events");
     assert!(jsonl.contains("\"event\":\"chaos_fault\""), "flap golden must cover chaos faults");

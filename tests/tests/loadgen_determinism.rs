@@ -1,16 +1,14 @@
 //! Load-generator determinism: a `(seed, profile)` pair is a complete
 //! description of a generated fleet. The arrival schedule, the workload
-//! mix, and the tenant draw must replay identically; running the fleet
-//! through the sweep engine must be `--jobs`-invariant; and the
-//! assessment-snapshot cache the generator's scale motivated must be
-//! invisible in every report.
+//! mix, and the tenant draw must replay identically, and running the
+//! fleet through the sweep engine must be `--jobs`-invariant.
 
 use proptest::prelude::*;
 
 use cloud_market::InstanceType;
 use spotverse::{
-    merged_fleet_trace_jsonl, run_fleet, run_fleet_matrix, FleetConfig, FleetSweepCell,
-    LoadProfile, MarketCache, TraceConfig,
+    merged_fleet_trace_jsonl, run_fleet_matrix, FleetConfig, FleetSweepCell, LoadProfile,
+    MarketCache, TraceConfig,
 };
 use spotverse_integration::spotverse_strategy;
 
@@ -101,28 +99,5 @@ proptest! {
             merged_fleet_trace_jsonl(&parallel),
             "merged traces must be byte-identical across --jobs"
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The snapshot-epoch assessment cache is purely an optimization: with
-    /// it disabled, every field of the report — workload outcomes, cost
-    /// ledger, trace — must match the cached run exactly.
-    #[test]
-    fn snapshot_reuse_is_observationally_identical(
-        seed in 0u64..500,
-        profile_idx in 0usize..3,
-        count in 2usize..40,
-    ) {
-        let run = |reuse: bool| {
-            let mut config =
-                profile(profile_idx, 24.0).generate(seed, count, InstanceType::M5Xlarge);
-            config.trace = TraceConfig::enabled();
-            config.reuse_decision_snapshot = reuse;
-            run_fleet(config, spotverse_strategy())
-        };
-        prop_assert_eq!(run(true), run(false));
     }
 }

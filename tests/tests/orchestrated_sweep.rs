@@ -9,7 +9,7 @@ use spotverse::{
     merged_fleet_trace_jsonl, run_fleet_matrix, run_matrix_orchestrated, FleetCellOutcome,
     FleetConfig, FleetSweepCell, LoadProfile, MarketCache, OrchestratorConfig, TraceConfig,
 };
-use spotverse_integration::{experiment_cell, fleet_config, spotverse_strategy, traced_config};
+use spotverse_integration::{fleet_config, spotverse_strategy, traced_config};
 
 fn cells(n: usize, traced: bool) -> Vec<FleetSweepCell> {
     (0..n)
@@ -20,7 +20,7 @@ fn cells(n: usize, traced: bool) -> Vec<FleetSweepCell> {
             } else {
                 fleet_config(WorkloadKind::NgsPreprocessing, 2, seed)
             };
-            experiment_cell(format!("cell-{i}"), "spotverse", &config)
+            FleetSweepCell::new(format!("cell-{i}"), "spotverse", config)
         })
         .collect()
 }

@@ -6,15 +6,16 @@ use std::sync::Arc;
 
 use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::{cheapest_spot_region_at_start, InstanceType, Region, SpotMarket};
-use sim_kernel::{SimRng, SimTime};
+use sim_kernel::{SimDuration, SimRng, SimTime};
 use spotverse::{
-    compare, run_experiment_on, run_repetitions, RepetitionMarket, ExperimentConfig, InitialPlacement,
+    compare, run_fleet_on, run_repetitions, FleetConfig, InitialPlacement, RepetitionMarket,
     OnDemandStrategy, SingleRegionStrategy, SkyPilotStrategy, SpotVerseConfig, SpotVerseStrategy,
 };
 
-fn config(kind: WorkloadKind, n: usize, seed: u64, start_day: u64) -> ExperimentConfig {
+fn config(kind: WorkloadKind, n: usize, seed: u64, start_day: u64) -> FleetConfig {
     let rng = SimRng::seed_from_u64(seed);
-    let mut c = ExperimentConfig::new(seed, InstanceType::M5Xlarge, paper_fleet(kind, n, &rng));
+    let specs = paper_fleet(kind, n, &rng);
+    let mut c = FleetConfig::staggered(seed, InstanceType::M5Xlarge, specs, SimDuration::ZERO);
     c.start = SimTime::from_days(start_day);
     c
 }
@@ -65,18 +66,20 @@ fn spotverse_beats_single_region_standard() {
 fn spotverse_undercuts_on_demand_substantially() {
     let base = config(WorkloadKind::GenomeReconstruction, 15, 202, 1);
     let market = Arc::new(SpotMarket::new(base.market));
-    let od = run_experiment_on(
+    let od = run_fleet_on(
         Arc::clone(&market),
         base.clone(),
         Box::new(OnDemandStrategy::new()),
-    );
-    let sv = run_experiment_on(
+    )
+    .aggregate;
+    let sv = run_fleet_on(
         market,
         base,
         Box::new(SpotVerseStrategy::new(SpotVerseConfig::paper_default(
             InstanceType::M5Xlarge,
         ))),
-    );
+    )
+    .aggregate;
     let saving = compare(&od, &sv).cost_reduction_pct;
     assert!(saving > 25.0, "saving only {saving:.1}%");
 }
@@ -123,12 +126,13 @@ fn table1_baseline_regions() {
 fn unreachable_threshold_falls_back_to_on_demand() {
     let base = config(WorkloadKind::StandardGeneral, 6, 204, 60);
     let market = Arc::new(SpotMarket::new(base.market));
-    let od = run_experiment_on(
+    let od = run_fleet_on(
         Arc::clone(&market),
         base.clone(),
         Box::new(OnDemandStrategy::new()),
-    );
-    let fallback = run_experiment_on(
+    )
+    .aggregate;
+    let fallback = run_fleet_on(
         market,
         base,
         Box::new(SpotVerseStrategy::new(
@@ -136,7 +140,8 @@ fn unreachable_threshold_falls_back_to_on_demand() {
                 .threshold(13)
                 .build(),
         )),
-    );
+    )
+    .aggregate;
     assert_eq!(fallback.interruptions, 0);
     assert_eq!(fallback.cost.spot_instances, cloud_market::Usd::ZERO);
     let ratio = fallback.cost.total.amount() / od.cost.total.amount();

@@ -17,7 +17,7 @@ use spotverse::{
     OrchestratorConfig, TimeWindow, TraceConfig,
 };
 use spotverse_integration::{
-    experiment_cell, spotverse_strategy, spotverse_with_threshold, traced_config,
+    spotverse_strategy, spotverse_with_threshold, traced_config,
 };
 
 fn replay_single(doc: &str) -> CellState {
@@ -119,7 +119,7 @@ proptest! {
         let label = scenario.as_ref().map_or("fault-free", |s| s.name()).to_owned();
         let mut config = traced_config(WorkloadKind::NgsPreprocessing, n, seed);
         config.chaos = scenario;
-        let report = spotverse::run_experiment(config, spotverse_strategy());
+        let report = spotverse::run_fleet(config, spotverse_strategy()).aggregate;
         let doc = trace_to_jsonl(report.trace.as_ref().expect("tracing enabled"));
         let cell = replay_single(&doc);
         assert_reconciles(&cell, &report, &format!("seed {seed} n {n} {label}"));
@@ -191,7 +191,7 @@ fn replay_reconciles_merged_sweep_and_distributions() {
         .flat_map(|&t| {
             seeds.iter().map(move |&seed| {
                 let config = traced_config(WorkloadKind::NgsPreprocessing, 3, seed);
-                experiment_cell(format!("t{t}/s{seed}"), format!("spotverse-t{t}"), &config)
+                FleetSweepCell::new(format!("t{t}/s{seed}"), format!("spotverse-t{t}"), config)
             })
         })
         .collect();
@@ -225,7 +225,7 @@ fn replay_shard_view_equals_orchestration_stats() {
     let cells: Vec<FleetSweepCell> = (0..4)
         .map(|i| {
             let config = traced_config(WorkloadKind::NgsPreprocessing, 2, 400 + i as u64);
-            experiment_cell(format!("cell-{i}"), "spotverse", &config)
+            FleetSweepCell::new(format!("cell-{i}"), "spotverse", config)
         })
         .collect();
     let cache = MarketCache::new();

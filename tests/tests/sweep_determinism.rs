@@ -7,9 +7,9 @@ use bio_workloads::WorkloadKind;
 use chaos::ChaosScenario;
 use cloud_market::{MarketConfig, MarketRegime, SpotMarket};
 use spotverse::{run_fleet_matrix, FleetCellOutcome, FleetSweepCell, MarketCache};
-use spotverse_integration::{experiment_cell, spotverse_strategy};
+use spotverse_integration::spotverse_strategy;
 
-fn fleet_config(seed: u64, n: usize) -> spotverse::ExperimentConfig {
+fn fleet_config(seed: u64, n: usize) -> spotverse::FleetConfig {
     spotverse_integration::fleet_config(WorkloadKind::NgsPreprocessing, n, seed)
 }
 
@@ -42,7 +42,7 @@ fn run_matrix_is_jobs_invariant() {
         .map(|(i, scenario)| {
             let mut config = base.clone();
             config.chaos = scenario.clone();
-            experiment_cell(format!("cell-{i}"), "spotverse", &config)
+            FleetSweepCell::new(format!("cell-{i}"), "spotverse", config)
         })
         .collect();
     let run = |jobs: usize| -> Vec<FleetCellOutcome> {
@@ -64,7 +64,7 @@ fn run_matrix_is_jobs_invariant() {
 #[test]
 fn distinct_seeds_build_distinct_markets() {
     let cells: Vec<FleetSweepCell> = (0..3)
-        .map(|i| experiment_cell(format!("seed-{i}"), "spotverse", &fleet_config(100 + i, 2)))
+        .map(|i| FleetSweepCell::new(format!("seed-{i}"), "spotverse", fleet_config(100 + i, 2)))
         .collect();
     let cache = MarketCache::new();
     let outcomes = run_fleet_matrix(&cells, 3, &cache, |_| spotverse_strategy());

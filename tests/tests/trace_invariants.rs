@@ -8,11 +8,11 @@
 use bio_workloads::WorkloadKind;
 use proptest::prelude::*;
 use spotverse::{
-    merged_fleet_trace_jsonl, run_experiment, run_fleet_matrix, BreakerState, DecisionKind,
-    FleetSweepCell, MarketCache, RunTrace, TraceEvent,
+    merged_fleet_trace_jsonl, replay_str, run_fleet, run_fleet_matrix, trace_to_jsonl,
+    BreakerState, DecisionKind, FleetSweepCell, MarketCache, RunTrace, TimeWindow, TraceEvent,
 };
 use spotverse_integration::{
-    experiment_cell, fleet_config, run_with, spotverse_strategy, traced_config,
+    fleet_config, run_with, spotverse_strategy, traced_config,
 };
 
 use std::sync::Arc;
@@ -25,7 +25,7 @@ fn traced_run(
 ) -> (RunTrace, spotverse::ExperimentReport) {
     let mut config = traced_config(kind, n, seed);
     config.chaos = scenario;
-    let mut report = run_experiment(config, spotverse_strategy());
+    let mut report = run_fleet(config, spotverse_strategy()).aggregate;
     let trace = report.trace.take().expect("tracing was enabled");
     (trace, report)
 }
@@ -102,7 +102,7 @@ fn tracing_toggle_changes_no_report_field_under_chaos() {
         traced_cfg.trace = spotverse::TraceConfig::enabled();
         traced_cfg.chaos = Some(scenario);
         let mut traced =
-            spotverse::run_experiment_on(market, traced_cfg, spotverse_strategy());
+            spotverse::run_fleet_on(market, traced_cfg, spotverse_strategy()).aggregate;
         assert!(traced.trace.take().is_some(), "{name}: trace recorded");
         assert_eq!(plain, traced, "{name}: tracing must not perturb the run");
     }
@@ -121,7 +121,7 @@ fn merged_sweep_trace_is_jobs_invariant() {
         .map(|(i, scenario)| {
             let mut config = traced_config(WorkloadKind::NgsPreprocessing, 3, 404);
             config.chaos = scenario.clone();
-            experiment_cell(format!("cell-{i}"), "spotverse", &config)
+            FleetSweepCell::new(format!("cell-{i}"), "spotverse", config)
         })
         .collect();
     let run = |jobs: usize| {
@@ -201,10 +201,13 @@ proptest! {
             report.resilience.freshness.degraded_time.as_secs()
         );
 
-        // The aggregated stats attached to the trace agree with a recount.
-        prop_assert_eq!(trace.stats.interruptions, report.interruptions);
-        prop_assert_eq!(trace.stats.checkpoint_saves, report.checkpoints.writes);
-        prop_assert_eq!(trace.stats.breaker_transitions,
+        // The replay views of the exported trace agree with a recount.
+        let replayed = replay_str(&trace_to_jsonl(&trace), TimeWindow::ALL).unwrap();
+        let cell = &replayed.cells[0].1;
+        let interruptions: u64 = cell.ledger.regions.iter().map(|r| r.interruptions).sum();
+        prop_assert_eq!(interruptions, report.interruptions);
+        prop_assert_eq!(cell.checkpoints.saves, report.checkpoints.writes);
+        prop_assert_eq!(cell.breakers.transitions.len() as u64,
             count(|e| matches!(e, TraceEvent::Breaker { .. })));
 
         // For a fully completed run every launched instance was billed at

@@ -1,22 +1,22 @@
 //! Read-side parser round-trip: the committed golden traces must parse
 //! into typed records and re-serialize byte-identically, corrupt input
 //! must fail with a structured error naming the line (never a panic),
-//! and `TraceStats` rebuilt from parsed merged multi-cell JSONL must
-//! agree with the write-side aggregates — including the billed dollars
-//! of deadline-expired workloads, which the write side used to drop.
+//! and the replay views of parsed merged multi-cell JSONL must agree with
+//! each run's own trace — including the billed dollars of
+//! deadline-expired workloads.
 
 use std::fs;
 use std::path::PathBuf;
 
 use bio_workloads::{paper_fleet, WorkloadKind};
 use cloud_market::InstanceType;
-use sim_kernel::{SimDuration, SimRng, SimTime};
+use sim_kernel::{SimDuration, SimRng};
 use spotverse::{
-    parse_trace_jsonl, run_fleet, run_fleet_matrix, trace_lines_to_jsonl, trace_to_jsonl,
-    FleetConfig, FleetSweepCell, MarketCache, TraceConfig, TraceEvent, TraceLine, TraceRecord,
-    TraceStats,
+    parse_trace_jsonl, replay_str, run_fleet, run_fleet_matrix, trace_lines_to_jsonl,
+    trace_to_jsonl, FleetConfig, FleetSweepCell, MarketCache, TimeWindow, TraceConfig,
+    TraceEvent, TraceLine, TraceRecord,
 };
-use spotverse_integration::{experiment_cell, spotverse_strategy, traced_config};
+use spotverse_integration::{spotverse_strategy, traced_config};
 
 const GOLDENS: [&str; 5] = [
     "spotverse_ngs3_seed2024_t4.jsonl",
@@ -49,7 +49,7 @@ fn goldens_round_trip_byte_identical() {
 #[test]
 fn fresh_trace_round_trips_to_typed_records()  {
     let config = traced_config(WorkloadKind::NgsPreprocessing, 3, 99);
-    let report = spotverse::run_experiment(config, spotverse_strategy());
+    let report = spotverse::run_fleet(config, spotverse_strategy()).aggregate;
     let trace = report.trace.expect("tracing enabled");
     let doc = trace_to_jsonl(&trace);
     let lines = parse_trace_jsonl(&doc).expect("fresh trace parses");
@@ -119,9 +119,9 @@ fn split_by_cell(lines: &[TraceLine]) -> Vec<(String, Vec<TraceRecord>)> {
     cells
 }
 
-/// `TraceStats` rebuilt from parsed merged multi-cell JSONL agrees with
-/// the write-side stats of each constituent run — the read side must
-/// split by cell and re-anchor at each cell's own `run_started`.
+/// Replay views rebuilt from parsed merged multi-cell JSONL agree with
+/// the views of each constituent run's own trace — the read side must
+/// split by cell.
 #[test]
 fn trace_stats_reconcile_across_merged_cells() {
     let cells: Vec<FleetSweepCell> = (0..3)
@@ -130,7 +130,7 @@ fn trace_stats_reconcile_across_merged_cells() {
             if i == 1 {
                 config.chaos = Some(chaos::region_flap());
             }
-            experiment_cell(format!("cell-{i}"), "spotverse", &config)
+            FleetSweepCell::new(format!("cell-{i}"), "spotverse", config)
         })
         .collect();
     let cache = MarketCache::new();
@@ -138,15 +138,16 @@ fn trace_stats_reconcile_across_merged_cells() {
     let merged = spotverse::merged_fleet_trace_jsonl(&outcomes);
     let lines = parse_trace_jsonl(&merged).expect("merged trace parses");
     let by_cell = split_by_cell(&lines);
+    let merged_state = replay_str(&merged, TimeWindow::ALL).expect("merged trace replays");
     assert_eq!(by_cell.len(), cells.len(), "every cell present in the merged document");
     for ((key, records), (cell, outcome)) in by_cell.iter().zip(cells.iter().zip(&outcomes)) {
         assert_eq!(key, &cell.label);
         let report = &outcome.report().expect("cell succeeded").aggregate;
         let trace = report.trace.as_ref().expect("tracing enabled");
         assert_eq!(records, &trace.events, "{key}: parsed records equal the originals");
-        let rebuilt = TraceStats::rebuild(records);
-        let live = TraceStats::from_events(&trace.events, cell.config.start);
-        assert_eq!(rebuilt, live, "{key}: read-side stats equal write-side stats");
+        let merged_views = merged_state.cell(key).expect("cell replayed from the merged trace");
+        let own = replay_str(&trace_to_jsonl(trace), TimeWindow::ALL).expect("cell trace replays");
+        assert_eq!(merged_views, &own.cells[0].1, "{key}: merged views equal the run's own");
     }
 }
 
@@ -181,22 +182,12 @@ fn expired_workload_billing_lands_in_stats() {
     }
     assert!(expired_billed > 0.0, "an expired workload had a running instance billed");
 
-    let stats = TraceStats::from_events(&trace.events, SimTime::from_days(1));
-    assert!(
-        (stats.billed_total - event_billed).abs() < 1e-9,
-        "billed_total ({}) must include expired-workload billing ({event_billed})",
-        stats.billed_total,
-    );
-
-    // And the read side agrees after a JSONL round trip.
+    // The replayed cost ledger counts it after a JSONL round trip.
     let doc = trace_to_jsonl(trace);
-    let lines = parse_trace_jsonl(&doc).expect("fleet trace parses");
-    let records: Vec<TraceRecord> = lines
-        .iter()
-        .filter_map(|l| match l {
-            TraceLine::Record { record, .. } => Some(record.clone()),
-            TraceLine::Truncated { .. } => None,
-        })
-        .collect();
-    assert_eq!(TraceStats::rebuild(&records), stats);
+    let state = replay_str(&doc, TimeWindow::ALL).expect("fleet trace replays");
+    let billed_total = state.cells[0].1.ledger.billed_total();
+    assert!(
+        (billed_total - event_billed).abs() < 1e-9,
+        "billed_total ({billed_total}) must include expired-workload billing ({event_billed})",
+    );
 }
